@@ -34,7 +34,6 @@ def test_cache_ablation(
             batch_size=bench_env.batch,
             num_batches=bench_env.nbatch,
             jobs=bench_env.jobs,
-            chunk=bench_env.chunk,
             cache=grid_cache,
             image_cache=image_cache,
             require_cached=bench_from_cache,

@@ -13,8 +13,6 @@ Scale knobs (environment variables):
 * ``REPRO_BENCH_NBATCH``    — pipelined batches per run (default 2)
 * ``REPRO_BENCH_JOBS``      — worker processes per grid (default 1;
   ``auto`` or ``0`` sizes the pool from the CPU affinity mask)
-* ``REPRO_BENCH_CHUNK``     — cells per worker task (default/``auto``:
-  sized from cell count and jobs; ``1`` forces classic per-cell tasks)
 * ``REPRO_BENCH_CACHE_DIR`` — persistent result cache (default: per-session
   temporary directory, so benchmark runs stay self-contained)
 
@@ -55,14 +53,6 @@ def _jobs_env(value: str) -> Optional[int]:
     return None if jobs == 0 else jobs
 
 
-def _chunk_env(value: str) -> Optional[int]:
-    """Empty/``auto`` -> None (run_grid picks the chunk size)."""
-    value = value.strip().lower()
-    if value in ("", "auto"):
-        return None
-    return int(value)
-
-
 def pytest_addoption(parser):
     parser.addoption(
         "--from-cache",
@@ -78,7 +68,6 @@ class BenchEnv:
     batch: int
     nbatch: int
     jobs: Optional[int]  # None = auto-detect from CPU affinity
-    chunk: Optional[int]  # None = auto-size from cell count and jobs
 
 
 @pytest.fixture(scope="session")
@@ -88,7 +77,6 @@ def bench_env() -> BenchEnv:
         batch=int(os.environ.get("REPRO_BENCH_BATCH", "64")),
         nbatch=int(os.environ.get("REPRO_BENCH_NBATCH", "2")),
         jobs=_jobs_env(os.environ.get("REPRO_BENCH_JOBS", "1")),
-        chunk=_chunk_env(os.environ.get("REPRO_BENCH_CHUNK", "")),
     )
 
 
@@ -164,7 +152,6 @@ def grid_runner(bench_env, grid_cache, image_cache, bench_from_cache):
             jobs=bench_env.jobs,
             cache=grid_cache,
             image_cache=image_cache,
-            chunk=bench_env.chunk,
         )
 
     return run
@@ -181,7 +168,6 @@ def scaleout_runner(bench_env, grid_cache, image_cache, bench_from_cache):
             platform,
             workload,
             jobs=bench_env.jobs,
-            chunk=bench_env.chunk,
             cache=grid_cache,
             image_cache=image_cache,
             require_cached=bench_from_cache,
@@ -200,7 +186,6 @@ def query_runner(bench_env, grid_cache, image_cache, bench_from_cache):
             platform,
             workload,
             jobs=bench_env.jobs,
-            chunk=bench_env.chunk,
             cache=grid_cache,
             image_cache=image_cache,
             require_cached=bench_from_cache,
@@ -226,7 +211,6 @@ def serving_runner(bench_env, grid_cache, image_cache, bench_from_cache):
         cache=grid_cache,
         image_cache=image_cache,
         require_cached=bench_from_cache,
-        chunk=bench_env.chunk,
     )
 
     def run(platform, workload, qps_grid, **kwargs):

@@ -220,7 +220,6 @@ def sweep_cache(
     cache=None,
     image_cache=None,
     require_cached: bool = False,
-    chunk: Optional[int] = None,
     executor=None,
 ) -> CacheSweepOutcome:
     """Run the size x policy ablation for one platform on one workload.
@@ -338,7 +337,6 @@ def sweep_cache(
             jobs=jobs,
             cache=cache,
             image_cache=image_cache,
-            chunk=chunk,
             executor=executor,
         )
     baseline, measured = outcome.results[0], outcome.results[1:]

@@ -4,11 +4,11 @@ Both cache layers — the :class:`repro.orchestrate.cache.ResultCache`
 (simulated ``RunResult`` documents) and the
 :class:`repro.directgraph.imagecache.ImageCache` (serialized
 ``DirectGraphImage`` + graph arrays) — share the same foundations: a
-stable value hash for key derivation, one default cache root, directory
-stats, and an age/size LRU-by-mtime eviction policy. They live here, in
-a dependency-free module, so the directgraph layer can use them without
-importing the orchestration package (which itself imports the platforms
-that build on directgraph).
+stable value hash for key derivation, one default cache root, atomic
+entry writes, directory stats, and an age/size LRU-by-mtime eviction
+policy. They live here, in a dependency-free module, so the directgraph
+layer can use them without importing the orchestration package (which
+itself imports the platforms that build on directgraph).
 """
 
 from __future__ import annotations
@@ -18,15 +18,17 @@ import hashlib
 import json
 import numbers
 import os
+import socket
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import BinaryIO, Callable, Optional, Sequence, Union
 
 __all__ = [
     "json_default",
     "stable_hash",
     "default_cache_dir",
+    "atomic_write",
     "CacheStats",
     "dir_stats",
     "clear_dir",
@@ -82,6 +84,28 @@ def default_cache_dir() -> Path:
     if override:
         return Path(override).expanduser()
     return Path("~/.cache/repro").expanduser()
+
+
+def atomic_write(path: Path, write: Callable[[BinaryIO], object]) -> None:
+    """Create ``path`` through a private tmp file and one rename.
+
+    The tmp name carries host, pid and a random token, so writers of one
+    key never share a tmp file, even on a shared filesystem whose
+    containers reuse pids. It is opened exclusively with the default
+    file mode (``tempfile.mkstemp``'s 0600 would hide shared entries
+    from other users), and removed if the write or the rename fails.
+    """
+    tmp = path.with_name(
+        f"{path.stem}.tmp.{socket.gethostname()}.{os.getpid()}"
+        f".{os.urandom(4).hex()}"
+    )
+    try:
+        with open(tmp, "xb") as handle:
+            write(handle)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 @dataclass(frozen=True)

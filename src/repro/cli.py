@@ -11,7 +11,7 @@ Subcommands
 ``inflate``  DirectGraph storage-inflation report (Table IV)
 ``info``     print the Table II configuration and platform list
 ``cache``    result/image-cache maintenance (``stats`` / ``clear`` / ``prune``)
-``perf``     microbenchmark suites (BENCH_kernel/_prepare/_grid/_cache)
+``perf``     microbenchmark suites (BENCH_kernel/_prepare/_cache/_partition)
 ``worker``   remote grid worker daemon (dials a ``--executor remote`` run)
 
 ``run``/``compare``/``sweep``/``scaleout`` all go through
@@ -283,19 +283,10 @@ def build_parser() -> argparse.ArgumentParser:
     perf = sub.add_parser("perf", help="microbenchmark suites")
     perf.add_argument(
         "--suite",
-        choices=[
-            "kernel",
-            "prepare",
-            "grid",
-            "cache",
-            "partition",
-            "dispatch",
-            "all",
-        ],
+        choices=["kernel", "prepare", "cache", "partition", "all"],
         default="kernel",
-        help="kernel hot-path ops, workload-prepare pipeline, grid "
-        "dispatch overhead, page-cache datapath/replay, partition/layout "
-        "locality, executor dispatch backends, or all of them",
+        help="kernel hot-path ops, workload-prepare pipeline, page-cache "
+        "datapath/replay, partition/layout locality, or all of them",
     )
     perf.add_argument(
         "--scale", type=float, default=1.0, help="kernel op-count multiplier"
@@ -319,19 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["current", "reference"],
         default="current",
         help="prepare suite: vectorized builder or per-node reference",
-    )
-    perf.add_argument(
-        "--grid-cells",
-        type=int,
-        default=16,
-        help="grid suite: number of small cells in the sweep",
-    )
-    perf.add_argument(
-        "--grid-jobs",
-        type=_jobs_arg,
-        default=None,
-        help="grid suite: pool size for both dispatch paths "
-        "(default: models oversubscription at max(4, 2*CPUs))",
     )
     perf.add_argument(
         "--out", default=None, help="write the report JSON to this path"
@@ -391,13 +369,6 @@ def _infra_args(parser: argparse.ArgumentParser) -> None:
         "CPU affinity",
     )
     parser.add_argument(
-        "--chunk",
-        type=_chunk_arg,
-        default=None,
-        help="cells per worker task: 1 = classic per-cell dispatch, N = "
-        "batched chunks of N, 'auto' (default) sizes from cells and jobs",
-    )
-    parser.add_argument(
         "--cache",
         action=argparse.BooleanOptionalAction,
         default=True,
@@ -445,13 +416,6 @@ def _jobs_arg(value: str) -> Optional[int]:
         return None
     jobs = int(value)
     return None if jobs == 0 else jobs
-
-
-def _chunk_arg(value: str) -> Optional[int]:
-    """``--chunk`` parser: 'auto' defers to ``auto_chunk_size``."""
-    if value.strip().lower() == "auto":
-        return None
-    return int(value)
 
 
 def _config(args) -> object:
@@ -547,7 +511,6 @@ def cmd_run(args) -> int:
             jobs=args.jobs,
             cache=_result_cache(args),
             image_cache=_image_cache(args),
-            chunk=args.chunk,
             executor=executor,
         )
     result = outcome.results[0]
@@ -580,7 +543,6 @@ def cmd_compare(args) -> int:
             jobs=args.jobs,
             cache=_result_cache(args),
             image_cache=_image_cache(args),
-            chunk=args.chunk,
             executor=executor,
         )
     rows = []
@@ -635,7 +597,6 @@ def cmd_sweep(args) -> int:
             jobs=args.jobs,
             cache=_result_cache(args),
             image_cache=_image_cache(args),
-            chunk=args.chunk,
             executor=executor,
         )
     results = iter(outcome.results)
@@ -686,7 +647,6 @@ def cmd_scaleout(args) -> int:
                         cache=cache,
                         image_cache=image_cache,
                         require_cached=args.from_cache,
-                        chunk=args.chunk,
                         partitioner=args.partitioner,
                         layout=args.layout,
                         executor=executor,
@@ -793,7 +753,6 @@ def cmd_serve(args) -> int:
                 cache=_result_cache(args),
                 image_cache=_image_cache(args),
                 require_cached=args.from_cache,
-                chunk=args.chunk,
                 page_cache=(
                     CacheConfig(
                         capacity_mb=args.cache_mb, policy=args.cache_policy
@@ -880,7 +839,6 @@ def cmd_cache_ablation(args) -> int:
                 cache=_result_cache(args),
                 image_cache=_image_cache(args),
                 require_cached=args.from_cache,
-                chunk=args.chunk,
                 executor=executor,
             )
     except KeyError as err:
@@ -984,8 +942,6 @@ def cmd_perf(args) -> int:
         load_report,
         merge_before_after,
         run_cache_suite,
-        run_dispatch_suite,
-        run_grid_suite,
         run_partition_suite,
         run_prepare_suite,
         run_suite,
@@ -1008,26 +964,10 @@ def cmd_perf(args) -> int:
                 impl=args.prepare_impl,
             )
         )
-    if args.suite in ("grid", "all"):
-        reports.append(
-            run_grid_suite(
-                n_cells=args.grid_cells,
-                repeats=args.repeat,
-                jobs=args.grid_jobs,
-            )
-        )
     if args.suite in ("cache", "all"):
         reports.append(run_cache_suite(repeats=args.repeat))
     if args.suite in ("partition", "all"):
         reports.append(run_partition_suite(repeats=args.repeat))
-    if args.suite in ("dispatch", "all"):
-        reports.append(
-            run_dispatch_suite(
-                n_cells=args.grid_cells,
-                repeats=args.repeat,
-                jobs=args.grid_jobs,
-            )
-        )
     report = reports[0]
     if len(reports) > 1:
         report = {

@@ -23,7 +23,6 @@ free while the expensive parts — edges and page bytes — come off disk.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
@@ -32,6 +31,7 @@ import numpy as np
 
 from ..cacheutil import (
     CacheStats,
+    atomic_write,
     clear_dir,
     default_cache_dir,
     dir_stats,
@@ -160,13 +160,7 @@ class ImageCache:
             raise ValueError("only serialized images can be cached")
         arrays = _image_to_arrays(graph, image)
         path = self.path_for(key)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        try:
-            with open(tmp, "wb") as fh:
-                np.savez(fh, **arrays)
-            os.replace(tmp, path)
-        finally:
-            tmp.unlink(missing_ok=True)
+        atomic_write(path, lambda handle: np.savez(handle, **arrays))
         self.counters.stores += 1
         COUNTERS.stores += 1
         return path

@@ -21,7 +21,6 @@ from .executors import (
     SerialExecutor,
     executor_by_name,
     executor_names,
-    register_executor,
     resolve_executor,
 )
 from .grid import (
@@ -63,7 +62,6 @@ __all__ = [
     "SerialExecutor",
     "ProcessExecutor",
     "DEFAULT_EXECUTOR",
-    "register_executor",
     "executor_names",
     "executor_by_name",
     "resolve_executor",

@@ -10,12 +10,17 @@ slices across them so all of them share one warm
 ``_PREPARED_MEMO`` and one interpreter, and emitting incremental
 progress heartbeats between slices.
 
+This is the only code that simulates a grid cell: every executor
+backend runs its cells through :func:`execute_batch`, in process or in
+its workers.
+
 Delivery-order guarantee: each kernel is driven only through ``step``,
 which delivers in exactly the order one ``run()`` call would (see
 :mod:`repro.sim.kernel`), and the simulations share no state, so the
-payloads produced here are bit-identical to per-cell dispatch.
+payloads produced here are bit-identical to one-shot
+:func:`~repro.platforms.runner.run_platform` calls.
 
-:func:`run_grid` ships batches of cells to workers through
+:func:`run_grid` ships batches of cells to pool workers through
 :func:`_execute_chunk`; :func:`auto_chunk_size` and
 :func:`available_cpus` size those batches from the cell count and the
 CPUs this process may actually use (``sched_getaffinity`` intersected
@@ -109,7 +114,7 @@ def available_cpus() -> int:
 
 
 def auto_chunk_size(n_cells: int, jobs: int) -> int:
-    """Cells per worker task when the caller didn't pin ``--chunk``.
+    """Cells per worker task.
 
     One process: a single chunk (pure in-process batching, no pool at
     all). Parallel: ~4 chunks per worker, so a straggler chunk idles a
@@ -124,7 +129,7 @@ def auto_chunk_size(n_cells: int, jobs: int) -> int:
 
 
 def _start_run(job: Tuple) -> PlatformRun:
-    """Launch one cell's simulation; mirrors ``grid._execute_cell`` setup."""
+    """Launch one cell's simulation over the shared prepared-image memo."""
     from .grid import _prepared_for
 
     cell, seed, image_cache_root = job
@@ -153,8 +158,8 @@ def execute_batch(
 ) -> List[Dict]:
     """Simulate a batch of cells cooperatively; payloads in job order.
 
-    ``jobs`` are the same ``(cell, seed, image_cache_root)`` tuples the
-    per-cell worker protocol uses. Up to ``max_live`` simulations are
+    ``jobs`` are the ``(cell, seed, image_cache_root)`` tuples every
+    executor backend consumes. Up to ``max_live`` simulations are
     live at once; each sweep gives every live kernel one
     ``step(slice_events)`` slice, finalizes the ones that drained, and
     refills from the queue. ``heartbeat`` (if set) is called after every
@@ -217,7 +222,7 @@ def execute_batch(
     return payloads  # type: ignore[return-value]
 
 
-def _env_heartbeat(chunk_size: int) -> Optional[Callable[[Dict], None]]:
+def _env_heartbeat() -> Optional[Callable[[Dict], None]]:
     """Periodic stderr progress line, gated by ``REPRO_GRID_HEARTBEAT_S``.
 
     Workers run far from the orchestrating terminal; setting the env var
@@ -247,4 +252,4 @@ def _env_heartbeat(chunk_size: int) -> Optional[Callable[[Dict], None]]:
 
 def _execute_chunk(chunk_jobs: Sequence[Tuple]) -> List[Dict]:
     """Worker entry point: one pool task simulates a whole chunk."""
-    return execute_batch(chunk_jobs, heartbeat=_env_heartbeat(len(chunk_jobs)))
+    return execute_batch(chunk_jobs, heartbeat=_env_heartbeat())

@@ -20,12 +20,12 @@ backwards compatibility.
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 from typing import Dict, Optional, Union
 
 from ..cacheutil import (
     CacheStats,
+    atomic_write,
     clear_dir,
     default_cache_dir,
     dir_stats,
@@ -63,11 +63,8 @@ class ResultCache:
 
     def put(self, key: str, document: Dict) -> Path:
         path = self.path_for(key)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_text(
-            json.dumps(document, sort_keys=True, default=json_default)
-        )
-        os.replace(tmp, path)
+        data = json.dumps(document, sort_keys=True, default=json_default)
+        atomic_write(path, lambda handle: handle.write(data.encode()))
         return path
 
     def __contains__(self, key: str) -> bool:

@@ -7,17 +7,19 @@ the simulations run. Three backends ship:
 * ``serial`` — everything in the calling process through the
   cooperative batched executor (the zero-dispatch floor; also the
   bit-identity reference);
-* ``process`` — the default: a local ``ProcessPoolExecutor`` fan-out,
-  per-cell or chunked exactly as ``run_grid`` always dispatched;
+* ``process`` — the default: a local ``ProcessPoolExecutor`` fan-out of
+  auto-sized chunks, each run by the same batched executor;
 * ``remote`` — a TCP coordinator feeding ``repro worker`` daemons over
   the length-prefixed JSON protocol in :mod:`repro.orchestrate.wire`
   (see :mod:`repro.orchestrate.remote`).
 
 Every backend consumes the same ``(cell, seed, image_cache_root)`` job
-tuples and returns payload dicts in job order. Determinism is the
-protocol's core contract: per-cell seeds are fixed *before* dispatch, a
-cell's simulation depends only on (cell, seed), and payloads are
-JSON-normalized — so every backend is bit-identical to ``serial``.
+tuples, simulates them through
+:func:`~repro.orchestrate.batched.execute_batch`, and returns payload
+dicts in job order. Determinism is the protocol's core contract:
+per-cell seeds are fixed *before* dispatch, a cell's simulation depends
+only on (cell, seed), and payloads are JSON-normalized — so every
+backend is bit-identical to ``serial``.
 
 The registry is string-keyed so sweeps and the CLI can select a backend
 by name (``executor="remote"`` / ``--executor remote`` /
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from .envcfg import env_choice
 
@@ -38,7 +40,6 @@ __all__ = [
     "SerialExecutor",
     "ProcessExecutor",
     "DEFAULT_EXECUTOR",
-    "register_executor",
     "executor_names",
     "executor_by_name",
     "resolve_executor",
@@ -52,10 +53,9 @@ Job = Tuple  # (cell, seed, image_cache_root)
 class GridExecutor:
     """Protocol for grid backends: jobs in, payload dicts out, in order.
 
-    ``jobs`` is the caller's requested parallelism and ``chunk`` the
-    dispatch granularity (``None`` = auto, ``1`` = per-cell); backends
-    are free to interpret both as capacity hints, never as anything that
-    may change results. ``cache`` (a
+    ``jobs`` is the caller's requested parallelism; backends are free to
+    interpret it as a capacity hint, never as anything that may change
+    results. ``cache`` (a
     :class:`~repro.orchestrate.cache.ResultCache` or None) is the shared
     content-addressed store — distributed backends forward its location
     so warm workers can skip already-simulated cells.
@@ -68,7 +68,6 @@ class GridExecutor:
         jobs_args: Sequence[Job],
         *,
         jobs: int = 1,
-        chunk: Optional[int] = None,
         cache=None,
     ) -> List[Dict]:
         raise NotImplementedError
@@ -84,13 +83,7 @@ class GridExecutor:
 
 
 class SerialExecutor(GridExecutor):
-    """Everything in the calling process; the bit-identity reference.
-
-    ``chunk=1`` keeps classic one-simulation-at-a-time execution; any
-    other setting batches through
-    :func:`~repro.orchestrate.batched.execute_batch` (same payloads,
-    shared warm image memo).
-    """
+    """Everything in the calling process; the bit-identity reference."""
 
     name = "serial"
 
@@ -99,15 +92,11 @@ class SerialExecutor(GridExecutor):
         jobs_args: Sequence[Job],
         *,
         jobs: int = 1,
-        chunk: Optional[int] = None,
         cache=None,
     ) -> List[Dict]:
         from .batched import execute_batch
-        from .grid import _execute_cell
 
-        if chunk == 1:
-            return [_execute_cell(job) for job in jobs_args]
-        return execute_batch(jobs_args) if jobs_args else []
+        return execute_batch(jobs_args)
 
 
 def _pool_context():
@@ -116,13 +105,12 @@ def _pool_context():
 
 
 class ProcessExecutor(GridExecutor):
-    """Local ``ProcessPoolExecutor`` fan-out (the historical default).
+    """Local ``ProcessPoolExecutor`` fan-out (the default backend).
 
-    ``chunk=1`` is classic per-cell dispatch — one pool task (and one
-    payload pickle) per cell, kept exact for differential testing and as
-    the perf-suite baseline. Chunked dispatch caps effective workers at
-    the CPUs this process may use (a worker beyond that only adds fork +
-    pickling overhead) and degrades to pure in-process batching when a
+    Cells ship in :func:`~repro.orchestrate.batched.auto_chunk_size`
+    chunks, one pool task each. Effective workers are capped at the CPUs
+    this process may use (a worker beyond that only adds fork + pickling
+    overhead), and the run degrades to pure in-process batching when a
     pool cannot help.
     """
 
@@ -133,7 +121,6 @@ class ProcessExecutor(GridExecutor):
         jobs_args: Sequence[Job],
         *,
         jobs: int = 1,
-        chunk: Optional[int] = None,
         cache=None,
     ) -> List[Dict]:
         from .batched import (
@@ -142,20 +129,9 @@ class ProcessExecutor(GridExecutor):
             available_cpus,
             execute_batch,
         )
-        from .grid import _execute_cell
 
         jobs_args = list(jobs_args)
-        if chunk == 1:
-            if len(jobs_args) > 1 and jobs > 1:
-                with ProcessPoolExecutor(
-                    max_workers=min(jobs, len(jobs_args)),
-                    mp_context=_pool_context(),
-                ) as pool:
-                    return list(pool.map(_execute_cell, jobs_args))
-            return [_execute_cell(job) for job in jobs_args]
-        size = chunk if chunk is not None else auto_chunk_size(
-            len(jobs_args), jobs
-        )
+        size = auto_chunk_size(len(jobs_args), jobs)
         chunks = [
             jobs_args[i : i + size] for i in range(0, len(jobs_args), size)
         ]
@@ -169,7 +145,7 @@ class ProcessExecutor(GridExecutor):
                     for batch in pool.map(_execute_chunk, chunks)
                     for p in batch
                 ]
-        return execute_batch(jobs_args) if jobs_args else []
+        return execute_batch(jobs_args)
 
 
 def _remote_factory() -> GridExecutor:
@@ -183,11 +159,6 @@ _EXECUTORS: Dict[str, Callable[[], GridExecutor]] = {
     "process": ProcessExecutor,
     "remote": _remote_factory,
 }
-
-
-def register_executor(name: str, factory: Callable[[], GridExecutor]) -> None:
-    """Add (or replace) a named backend factory."""
-    _EXECUTORS[name] = factory
 
 
 def executor_names() -> List[str]:

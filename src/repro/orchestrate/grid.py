@@ -31,17 +31,13 @@ from ..platforms.features import PlatformFeatures
 from ..platforms.registry import platform_by_name
 from ..platforms.result import RunResult
 from ..directgraph.layout import DEFAULT_LAYOUT
-from ..platforms.runner import DEFAULT_SCALED_NODES, PreparedWorkload, run_platform
+from ..platforms.runner import DEFAULT_SCALED_NODES, PreparedWorkload
 from ..rng import stream_seed
 from ..ssd.config import SSDConfig, ull_ssd
 from ..workloads.registry import workload_by_name
 from ..workloads.specs import WorkloadSpec
 from .cache import ResultCache, stable_hash
-from .serialize import (
-    RESULT_SCHEMA_VERSION,
-    result_from_payload,
-    result_to_payload,
-)
+from .serialize import RESULT_SCHEMA_VERSION, result_from_payload
 
 __all__ = [
     "GridCell",
@@ -233,25 +229,6 @@ def _prepared_for(
     return prepared
 
 
-def _execute_cell(job: Tuple[GridCell, int, Optional[str]]) -> Dict:
-    """Worker entry point: simulate one cell, return its payload dict."""
-    cell, seed, image_cache_root = job
-    config = cell.resolved_config()
-    prepared = _prepared_for(
-        cell.resolved_workload(),
-        config.flash.page_size,
-        image_cache_root,
-        cell.layout,
-    )
-    result = run_platform(
-        cell.resolved_platform(),
-        prepared,
-        ssd_config=config,
-        **cell.run_params(seed),
-    )
-    return result_to_payload(result)
-
-
 @dataclass
 class GridOutcome:
     """Results of one grid run, in cell order, plus cache accounting.
@@ -302,7 +279,6 @@ def run_grid(
     cache: Optional[ResultCache] = None,
     base_seed: int = 0,
     image_cache=None,
-    chunk: Optional[int] = None,
     executor=None,
 ) -> GridOutcome:
     """Run every cell, in parallel, skipping cells already in ``cache``.
@@ -315,19 +291,13 @@ def run_grid(
     registered name (``"serial"``, ``"process"``, ``"remote"``), a
     :class:`~repro.orchestrate.executors.GridExecutor` instance, or
     ``None`` to consult ``REPRO_EXECUTOR`` and default to the local
-    process pool. Per-cell seeds and cache keys are fixed *before*
-    dispatch, so every backend produces bit-identical results.
+    process pool. Every backend simulates through
+    :func:`~repro.orchestrate.batched.execute_batch`, and per-cell seeds
+    and cache keys are fixed *before* dispatch, so every backend produces
+    bit-identical results.
 
     ``jobs=None`` (or ``0``) auto-detects from CPU affinity and the
     cgroup CPU quota (:func:`~repro.orchestrate.batched.available_cpus`).
-    ``chunk`` selects the dispatch granularity: ``1`` is classic
-    per-cell dispatch (one pool task per cell); any larger value ships
-    batches of that many cells per task through the in-process batched
-    executor (:func:`~repro.orchestrate.batched.execute_batch`);
-    ``None`` (the default) auto-sizes via
-    :func:`~repro.orchestrate.batched.auto_chunk_size`. Every setting
-    produces bit-identical results — chunking only changes how the work
-    is shipped.
 
     Prepared workload images are shared two ways: the orchestrating
     process pre-builds each distinct (workload, page_size) once — fork
@@ -343,8 +313,6 @@ def run_grid(
         jobs = available_cpus()
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    if chunk is not None and chunk < 1:
-        raise ValueError("chunk must be >= 1 (or None for auto)")
     grid_executor = resolve_executor(executor)
     cells = list(cells)
     seeds = [
@@ -382,7 +350,7 @@ def run_grid(
 
     jobs_args = [(cells[i], seeds[i], icache_root) for i in pending]
     fresh = (
-        grid_executor.run(jobs_args, jobs=jobs, chunk=chunk, cache=cache)
+        grid_executor.run(jobs_args, jobs=jobs, cache=cache)
         if jobs_args
         else []
     )

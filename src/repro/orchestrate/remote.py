@@ -248,7 +248,6 @@ class RemoteExecutor(GridExecutor):
         jobs_args: Sequence,
         *,
         jobs: int = 1,
-        chunk: Optional[int] = None,
         cache=None,
     ) -> List[Dict]:
         from .batched import auto_chunk_size
@@ -264,9 +263,7 @@ class RemoteExecutor(GridExecutor):
         # however many workers register, with min/spawn as the planning
         # hint when the caller left jobs at 1.
         fanout = max(jobs, self.min_workers, self.spawn_workers, 1)
-        size = chunk if chunk is not None else auto_chunk_size(
-            len(jobs_args), fanout
-        )
+        size = auto_chunk_size(len(jobs_args), fanout)
         cache_root = str(cache.root) if cache is not None else None
         chunks: List[Dict] = []
         for start in range(0, len(jobs_args), size):

@@ -7,15 +7,12 @@ runs the unmodified hot path at zero extra cost), and
 :mod:`repro.perf.microbench` is the suite behind ``repro perf`` and the
 checked-in ``BENCH_kernel.json``. :mod:`repro.perf.preparebench` covers
 the workload-prepare pipeline (``repro perf --suite prepare``,
-``BENCH_prepare.json``), :mod:`repro.perf.gridbench` the grid
-dispatch overhead (``repro perf --suite grid``, ``BENCH_grid.json``),
-:mod:`repro.perf.cachebench` the page-cache datapath and offline
-replay engines (``repro perf --suite cache``, ``BENCH_cache.json``), and
-:mod:`repro.perf.partitionbench` the partition/layout locality wins
-(``repro perf --suite partition``, ``BENCH_partition.json``), and
-:mod:`repro.perf.dispatchbench` the executor backends — serial vs
-per-cell process vs a warm remote worker pool (``repro perf --suite
-dispatch``, ``BENCH_remote.json``).
+``BENCH_prepare.json``), :mod:`repro.perf.cachebench` the page-cache
+datapath and offline replay engines (``repro perf --suite cache``,
+``BENCH_cache.json``), and :mod:`repro.perf.partitionbench` the
+partition/layout locality wins (``repro perf --suite partition``,
+``BENCH_partition.json``). Grid dispatch is timed end to end by the
+repository benchmark (``perfbench/``), not here.
 """
 
 from .probe import KernelCounters, KernelProbe
@@ -30,9 +27,7 @@ from .microbench import (
     write_report,
 )
 from .preparebench import PREPARE_IMPLS, run_prepare_suite
-from .gridbench import grid_suite_cells, run_grid_suite
 from .cachebench import run_cache_suite, synthetic_page_trace
-from .dispatchbench import run_dispatch_suite
 from .partitionbench import run_partition_suite
 
 __all__ = [
@@ -43,10 +38,7 @@ __all__ = [
     "PREPARE_IMPLS",
     "run_suite",
     "run_prepare_suite",
-    "run_grid_suite",
-    "grid_suite_cells",
     "run_cache_suite",
-    "run_dispatch_suite",
     "run_partition_suite",
     "synthetic_page_trace",
     "format_report",

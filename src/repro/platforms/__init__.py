@@ -18,7 +18,6 @@ from .runner import (
     DEFAULT_SCALED_NODES,
     PlatformRun,
     PreparedWorkload,
-    run_grid,
     run_platform,
 )
 from .scaleout import (
@@ -50,7 +49,6 @@ __all__ = [
     "BatchTiming",
     "run_platform",
     "PlatformRun",
-    "run_grid",
     "PreparedWorkload",
     "DEFAULT_SCALED_NODES",
     "run_scaleout",

@@ -62,7 +62,6 @@ def measure_query_latency(
     cache=None,
     image_cache=None,
     require_cached: bool = False,
-    chunk: Optional[int] = None,
 ) -> QueryLatencyResult:
     """End-to-end latency of small inference batches.
 
@@ -110,9 +109,7 @@ def measure_query_latency(
             raise ValueError("require_cached needs a result cache")
         grid = outcome_from_cache(cells, cache)
     else:
-        grid = run_grid(
-            cells, jobs=jobs, cache=cache, image_cache=image_cache, chunk=chunk
-        )
+        grid = run_grid(cells, jobs=jobs, cache=cache, image_cache=image_cache)
     return QueryLatencyResult(
         platform=platform,
         batch_size=batch_size,

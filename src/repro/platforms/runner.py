@@ -41,7 +41,6 @@ __all__ = [
     "PreparedWorkload",
     "PlatformRun",
     "run_platform",
-    "run_grid",
     "DEFAULT_SCALED_NODES",
 ]
 
@@ -403,13 +402,3 @@ def run_platform(
         targets=targets,
     ).run()
 
-
-def run_grid(cells, **kwargs):
-    """Fan a grid of cells across worker processes with result caching.
-
-    Thin forwarding entry point; see :func:`repro.orchestrate.run_grid`
-    (imported lazily — orchestrate builds on this module).
-    """
-    from ..orchestrate import run_grid as _run_grid
-
-    return _run_grid(cells, **kwargs)

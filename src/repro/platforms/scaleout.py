@@ -330,7 +330,6 @@ def scaleout_outcome(
     cache=None,
     image_cache=None,
     require_cached: bool = False,
-    chunk: Optional[int] = None,
     executor=None,
     partitioner: str = DEFAULT_PARTITIONER,
     layout: str = DEFAULT_LAYOUT,
@@ -507,7 +506,6 @@ def scaleout_outcome(
         jobs=jobs,
         cache=cache,
         image_cache=image_cache,
-        chunk=chunk,
         executor=executor,
     )
     devices: List[RunResult] = grid.results
@@ -617,7 +615,6 @@ def run_scaleout(
     jobs: Optional[int] = 1,
     cache=None,
     image_cache=None,
-    chunk: Optional[int] = None,
     executor=None,
     partitioner: str = DEFAULT_PARTITIONER,
     layout: str = DEFAULT_LAYOUT,
@@ -643,7 +640,6 @@ def run_scaleout(
         jobs=jobs,
         cache=cache,
         image_cache=image_cache,
-        chunk=chunk,
         executor=executor,
         partitioner=partitioner,
         layout=layout,

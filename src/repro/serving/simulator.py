@@ -233,7 +233,6 @@ class BatchService:
         cache=None,
         image_cache=None,
         require_cached: bool = False,
-        chunk: Optional[int] = None,
         executor=None,
     ):
         if require_cached and cache is None:
@@ -242,7 +241,6 @@ class BatchService:
         self.cache = cache
         self.image_cache = image_cache
         self.require_cached = require_cached
-        self.chunk = chunk
         self.executor = executor
         self.cells_executed = 0
         self.cell_cache_hits = 0
@@ -272,7 +270,6 @@ class BatchService:
                 jobs=self.jobs,
                 cache=self.cache,
                 image_cache=self.image_cache,
-                chunk=self.chunk,
                 executor=self.executor,
             )
         for cell, result in zip(todo, outcome.results):
@@ -359,7 +356,6 @@ def serve(
     cache=None,
     image_cache=None,
     require_cached: bool = False,
-    chunk: Optional[int] = None,
     executor=None,
     service: Optional[BatchService] = None,
     page_cache: Optional[CacheConfig] = None,
@@ -374,7 +370,7 @@ def serve(
 
     A shared ``service`` (one per load sweep) memoizes batch simulations
     across points; when ``service`` is given it owns the ``jobs`` /
-    ``cache`` / ``chunk`` / ``executor`` knobs and the ones passed here
+    ``cache`` / ``executor`` knobs and the ones passed here
     are ignored.
     ``require_cached=True`` loads the serving document (or, failing
     that, every needed cell) from cache and raises ``KeyError`` rather
@@ -451,7 +447,6 @@ def serve(
             cache=cache,
             image_cache=image_cache,
             require_cached=require_cached,
-            chunk=chunk,
             executor=executor,
         )
     executed_before = service.cells_executed

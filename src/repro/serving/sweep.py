@@ -154,7 +154,6 @@ def sweep_serving(
     cache=None,
     image_cache=None,
     require_cached: bool = False,
-    chunk: Optional[int] = None,
     executor=None,
     service: Optional[BatchService] = None,
     page_cache: Optional[CacheConfig] = None,
@@ -175,7 +174,6 @@ def sweep_serving(
             cache=cache,
             image_cache=image_cache,
             require_cached=require_cached,
-            chunk=chunk,
             executor=executor,
         )
     outcomes = [

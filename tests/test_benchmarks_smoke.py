@@ -55,7 +55,6 @@ def smoke_fixtures(tmp_path_factory):
         batch=SMOKE_BATCH,
         nbatch=SMOKE_NBATCH,
         jobs=1,
-        chunk=None,
     )
     cache = ResultCache(tmp_path_factory.mktemp("bench-smoke-cache"))
     icache = ImageCache(tmp_path_factory.mktemp("bench-smoke-images"))
@@ -138,9 +137,6 @@ def test_benchmark_smoke(bench_file, smoke_fixtures, capsys, monkeypatch):
     monkeypatch.setenv("REPRO_BENCH_INFLATION_NODES", "5000")
     monkeypatch.setenv("REPRO_BENCH_KERNEL_SCALE", "0.02")
     monkeypatch.setenv("REPRO_BENCH_KERNEL_REPEAT", "1")
-    monkeypatch.setenv("REPRO_BENCH_GRID_CELLS", "4")
-    monkeypatch.setenv("REPRO_BENCH_GRID_REPEAT", "1")
-    monkeypatch.setenv("REPRO_BENCH_GRID_JOBS", "2")
     module = _load_module(bench_file)
     entry_points = [
         (name, fn)

@@ -89,12 +89,6 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["worker"])  # --coordinator required
 
-    def test_perf_dispatch_suite_parses(self):
-        args = build_parser().parse_args(
-            ["perf", "--suite", "dispatch", "--grid-cells", "6"]
-        )
-        assert args.suite == "dispatch" and args.grid_cells == 6
-
     def test_perf_subcommand_parses(self):
         args = build_parser().parse_args(
             ["perf", "--scale", "0.5", "--repeat", "2", "--no-end-to-end",
@@ -444,51 +438,32 @@ class TestDispatchFlags:
         args = build_parser().parse_args(["run", "bg2", "amazon", "--jobs", "3"])
         assert args.jobs == 3
 
-    def test_chunk_parses(self):
-        args = build_parser().parse_args(["compare", "amazon"])
-        assert args.chunk is None  # default: auto-sized
-        args = build_parser().parse_args(["compare", "amazon", "--chunk", "4"])
-        assert args.chunk == 4
-        args = build_parser().parse_args(["compare", "amazon", "--chunk", "auto"])
-        assert args.chunk is None
-        args = build_parser().parse_args(["scaleout", "--chunk", "1"])
-        assert args.chunk == 1
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compare", "amazon", "--chunk", "4"],
+            ["scaleout", "--chunk", "1"],
+            ["perf", "--suite", "grid"],
+            ["perf", "--suite", "dispatch"],
+            ["perf", "--grid-cells", "8"],
+        ],
+        ids=["compare-chunk", "scaleout-chunk", "suite-grid", "suite-dispatch",
+             "grid-cells"],
+    )
+    def test_removed_dispatch_flags_rejected(self, argv):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
 
-    def test_perf_grid_flags_parse(self):
-        args = build_parser().parse_args(
-            ["perf", "--suite", "grid", "--grid-cells", "8", "--grid-jobs", "4"]
-        )
-        assert args.suite == "grid"
-        assert args.grid_cells == 8
-        assert args.grid_jobs == 4
-        assert build_parser().parse_args(["perf"]).grid_jobs is None
-
-    def test_run_with_chunk_executes(self, capsys):
+    def test_run_with_jobs_auto_executes(self, capsys):
         assert (
             main(
                 [
                     "run", "bg2", "ogbn", "--nodes", "256", "--batch", "4",
                     "--batches", "1", "--hops", "2", "--fanout", "2",
-                    "--chunk", "4", "--jobs", "auto", "--no-cache",
+                    "--jobs", "auto", "--no-cache",
                 ]
             )
             == 0
         )
         out = capsys.readouterr().out
         assert "[1 simulated, 0 from cache]" in out
-
-    def test_perf_grid_suite_smoke(self, capsys, tmp_path):
-        out_path = tmp_path / "grid.json"
-        assert (
-            main(
-                [
-                    "perf", "--suite", "grid", "--grid-cells", "4",
-                    "--grid-jobs", "2", "--repeat", "1",
-                    "--out", str(out_path),
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "grid_speedup" in out
-        assert out_path.exists()

@@ -22,7 +22,6 @@ from repro.orchestrate.executors import (
     SerialExecutor,
     executor_by_name,
     executor_names,
-    register_executor,
     resolve_executor,
 )
 from repro.orchestrate.grid import GridCell, run_grid
@@ -85,22 +84,6 @@ class TestRegistry:
         with pytest.raises(ValueError, match="unknown executor"):
             executor_by_name("carrier-pigeon")
 
-    def test_register_custom(self):
-        class Null(GridExecutor):
-            name = "null"
-
-            def run(self, jobs_args, *, jobs=1, chunk=None, cache=None):
-                return [{} for _ in jobs_args]
-
-        register_executor("null", Null)
-        try:
-            assert "null" in executor_names()
-            assert isinstance(executor_by_name("null"), Null)
-        finally:
-            from repro.orchestrate.executors import _EXECUTORS
-
-            _EXECUTORS.pop("null", None)
-
     def test_resolve_default_is_process(self, monkeypatch):
         monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
         assert DEFAULT_EXECUTOR == "process"
@@ -132,7 +115,7 @@ class TestRegistry:
         closed = []
 
         class Probe(GridExecutor):
-            def run(self, jobs_args, *, jobs=1, chunk=None, cache=None):
+            def run(self, jobs_args, *, jobs=1, cache=None):
                 return []
 
             def close(self):
@@ -151,10 +134,23 @@ class TestBackendIdentity:
         assert _digest(serial) == _digest(pooled)
 
     def test_serial_per_cell_matches_batched(self):
+        from repro.platforms import run_platform
+
         cells = tiny_cells(2)
-        per_cell = run_grid(cells, jobs=1, chunk=1, executor="serial")
+        # Per-cell reference: one-shot run_platform, outside any executor.
+        per_cell = [
+            run_platform(
+                cell.resolved_platform(),
+                cell.resolved_workload(),
+                ssd_config=cell.resolved_config(),
+                **cell.run_params(cell.seed),
+            )
+            for cell in cells
+        ]
         batched_run = run_grid(cells, jobs=1, executor="serial")
-        assert _digest(per_cell) == _digest(batched_run)
+        assert [result_to_payload(r) for r in per_cell] == [
+            result_to_payload(r) for r in batched_run.results
+        ]
 
     def test_run_grid_rejects_unknown_executor(self):
         with pytest.raises(ValueError, match="unknown executor"):
@@ -164,7 +160,7 @@ class TestBackendIdentity:
         class Broken(GridExecutor):
             name = "broken"
 
-            def run(self, jobs_args, *, jobs=1, chunk=None, cache=None):
+            def run(self, jobs_args, *, jobs=1, cache=None):
                 return []
 
         with pytest.raises(RuntimeError, match="returned 0 payloads"):
@@ -203,12 +199,12 @@ class TestEnvHardening:
     def test_heartbeat_env_invalid_is_silent_default(self, monkeypatch, capsys):
         envcfg.reset_warnings()
         monkeypatch.setenv("REPRO_GRID_HEARTBEAT_S", "never")
-        assert batched._env_heartbeat(4) is None
+        assert batched._env_heartbeat() is None
         assert "REPRO_GRID_HEARTBEAT_S" in capsys.readouterr().err
 
     def test_heartbeat_env_valid_returns_beat(self, monkeypatch):
         monkeypatch.setenv("REPRO_GRID_HEARTBEAT_S", "0.5")
-        assert callable(batched._env_heartbeat(4))
+        assert callable(batched._env_heartbeat())
 
 
 class TestAvailableCpus:

@@ -91,3 +91,24 @@ class TestQueryLatency:
     def test_validation(self, prepared):
         with pytest.raises(ValueError):
             measure_query_latency("bg2", prepared, num_queries=0)
+
+    def test_require_cached_raises_on_missing_query(self, prepared, tmp_path):
+        from repro.orchestrate import ResultCache
+
+        cache = ResultCache(tmp_path)
+        measure_query_latency("bg2", prepared, num_queries=2, cache=cache)
+        # Query 2 was never simulated: a loud miss, not a simulation.
+        with pytest.raises(KeyError, match="1 of 3 cells not in result cache"):
+            measure_query_latency(
+                "bg2", prepared, num_queries=3, cache=cache, require_cached=True
+            )
+        warm = measure_query_latency(
+            "bg2", prepared, num_queries=2, cache=cache, require_cached=True
+        )
+        assert len(warm.latencies_s) == 2
+
+    def test_require_cached_needs_a_cache(self, prepared):
+        with pytest.raises(ValueError, match="require_cached needs a result cache"):
+            measure_query_latency(
+                "bg2", prepared, num_queries=1, require_cached=True
+            )

@@ -125,6 +125,22 @@ class TestRobustness:
         assert cache.get("deadbeef") is None
         assert "deadbeef" not in cache
 
+    def test_failed_write_leaves_no_tmp_file(self, spec, cache, monkeypatch):
+        from repro.directgraph import imagecache
+
+        prepared = prepare(spec)
+        key = cache.key_for(spec, 4096, fmt_for(spec))
+
+        def savez(handle, **arrays):
+            handle.write(b"half an archive")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(imagecache.np, "savez", savez)
+        with pytest.raises(OSError, match="disk full"):
+            cache.put(key, prepared.graph, prepared.image)
+        assert list(cache.root.iterdir()) == []
+        assert cache.get(key) is None
+
 
 class TestMaintenance:
     def test_stats_clear(self, spec, cache):

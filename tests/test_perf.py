@@ -197,85 +197,30 @@ class TestMergeAndGate:
 
 class TestRatioMetric:
     def test_gate_ratio_uses_floor(self):
-        base = _raw({"grid_speedup": {"metric": "ratio", "value": 2.0}})
+        base = _raw({"cache_speedup": {"metric": "ratio", "value": 2.0}})
         ok = _raw(
-            {"grid_speedup": {"metric": "ratio", "value": 1.5, "ops": 1, "seconds": 1}}
+            {"cache_speedup": {"metric": "ratio", "value": 1.5, "ops": 1, "seconds": 1}}
         )
         bad = _raw(
-            {"grid_speedup": {"metric": "ratio", "value": 1.2, "ops": 1, "seconds": 1}}
+            {"cache_speedup": {"metric": "ratio", "value": 1.2, "ops": 1, "seconds": 1}}
         )
         assert check_against_baseline(ok, base, max_regress=0.30) == []
         failures = check_against_baseline(bad, base, max_regress=0.30)
-        assert len(failures) == 1 and "grid_speedup" in failures[0]
+        assert len(failures) == 1 and "cache_speedup" in failures[0]
 
     def test_merge_orients_ratio_upward(self):
         before = _raw(
-            {"grid_speedup": {"metric": "ratio", "value": 1.5, "ops": 1, "seconds": 1}}
+            {"cache_speedup": {"metric": "ratio", "value": 1.5, "ops": 1, "seconds": 1}}
         )
         after = _raw(
-            {"grid_speedup": {"metric": "ratio", "value": 3.0, "ops": 1, "seconds": 1}}
+            {"cache_speedup": {"metric": "ratio", "value": 3.0, "ops": 1, "seconds": 1}}
         )
         merged = merge_before_after(before, after)
-        assert merged["benchmarks"]["grid_speedup"]["speedup"] == 2.0
+        assert merged["benchmarks"]["cache_speedup"]["speedup"] == 2.0
 
     def test_format_report_renders_ratio(self):
         report = _raw(
-            {"grid_speedup": {"metric": "ratio", "value": 1.6, "ops": 16, "seconds": 1}}
+            {"cache_speedup": {"metric": "ratio", "value": 1.6, "ops": 16, "seconds": 1}}
         )
         assert "1.60x" in format_report(report)
 
-
-class TestGridSuite:
-    def test_smoke_and_shape(self):
-        from repro.perf import run_grid_suite
-
-        report = run_grid_suite(n_cells=4, repeats=1, jobs=2)
-        rows = report["results"]
-        assert set(rows) == {
-            "grid_percell",
-            "grid_chunked",
-            "grid_speedup",
-            "grid_inprocess",
-            "grid_dispatch_overhead",
-        }
-        assert rows["grid_speedup"]["metric"] == "ratio"
-        assert rows["grid_speedup"]["value"] > 0
-        assert rows["grid_percell"]["metric"] == "seconds"
-        assert report["params"]["suite"] == "grid"
-        assert report["params"]["jobs"] == 2
-        # the report round-trips through the standard formatter and gate
-        assert "grid_chunked" in format_report(report)
-        assert check_against_baseline(report, report, max_regress=0.5) == []
-
-    def test_rejects_tiny_cell_count(self):
-        from repro.perf import run_grid_suite
-
-        with pytest.raises(ValueError):
-            run_grid_suite(n_cells=1)
-
-
-class TestDispatchSuite:
-    def test_smoke_and_shape(self):
-        from repro.perf import run_dispatch_suite
-
-        report = run_dispatch_suite(n_cells=4, repeats=1, jobs=2, workers=2)
-        rows = report["results"]
-        assert set(rows) == {
-            "dispatch_serial",
-            "dispatch_percell",
-            "dispatch_remote",
-            "dispatch_remote_speedup",
-        }
-        assert rows["dispatch_remote_speedup"]["metric"] == "ratio"
-        assert rows["dispatch_remote_speedup"]["value"] > 0
-        assert rows["dispatch_remote"]["metric"] == "seconds"
-        assert report["params"]["suite"] == "dispatch"
-        assert report["params"]["workers"] == 2
-        assert "dispatch_remote" in format_report(report)
-        assert check_against_baseline(report, report, max_regress=0.5) == []
-
-    def test_rejects_tiny_cell_count(self):
-        from repro.perf import run_dispatch_suite
-
-        with pytest.raises(ValueError):
-            run_dispatch_suite(n_cells=1)

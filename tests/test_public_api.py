@@ -57,3 +57,33 @@ class TestSubpackageAll:
         module = importlib.import_module(module_name)
         for name in getattr(module, "__all__", []):
             assert hasattr(module, name), f"{module_name}.{name} missing"
+
+
+class TestOneExecutionPath:
+    def test_no_sweep_entry_point_takes_chunk(self):
+        """Pool chunks are always auto-sized; no caller picks a size."""
+        import inspect
+
+        from repro.cache import sweep_cache
+        from repro.orchestrate import GridExecutor, run_grid
+        from repro.orchestrate.remote import RemoteExecutor
+        from repro.platforms import (
+            measure_query_latency,
+            run_scaleout,
+            scaleout_outcome,
+        )
+        from repro.serving import BatchService, serve, sweep_serving
+
+        for fn in (
+            run_grid,
+            GridExecutor.run,
+            RemoteExecutor.run,
+            run_scaleout,
+            scaleout_outcome,
+            measure_query_latency,
+            serve,
+            BatchService,
+            sweep_serving,
+            sweep_cache,
+        ):
+            assert "chunk" not in inspect.signature(fn).parameters, fn

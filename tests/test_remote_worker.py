@@ -113,14 +113,12 @@ class TestRemoteIdentity:
         cache = ResultCache(tmp_path / "cache")
         ex = RemoteExecutor(port=0, min_workers=2, spawn_workers=2)
         try:
-            remote = run_grid(
-                cells, jobs=2, chunk=1, cache=cache, executor=ex
-            )
+            remote = run_grid(cells, jobs=2, cache=cache, executor=ex)
             assert _digest(remote) == _digest(serial)
             assert remote.executed == len(cells)
             # Warm re-run on the same pool: the shared store answers
             # everything, zero new simulations.
-            warm = run_grid(cells, jobs=2, chunk=1, cache=cache, executor=ex)
+            warm = run_grid(cells, jobs=2, cache=cache, executor=ex)
             assert warm.executed == 0
             assert warm.cache_hits == len(cells)
             assert _digest(warm) == _digest(serial)
@@ -132,7 +130,8 @@ class TestRemoteIdentity:
         serial = run_grid(cells, jobs=1, executor="serial")
         ex = RemoteExecutor(port=0, min_workers=1, spawn_workers=1)
         try:
-            remote = run_grid(cells, jobs=1, chunk=2, executor=ex)
+            # One worker: the whole grid travels as a single 4-cell chunk.
+            remote = run_grid(cells, jobs=1, executor=ex)
             assert _digest(remote) == _digest(serial)
         finally:
             ex.close()
@@ -153,9 +152,7 @@ class TestFailurePaths:
                     ex.address, env={"REPRO_WORKER_FAIL_AFTER": "1"}
                 )
             )
-            remote = run_grid(
-                cells, jobs=2, chunk=1, cache=cache, executor=ex
-            )
+            remote = run_grid(cells, jobs=2, cache=cache, executor=ex)
             assert _digest(remote) == _digest(serial)
             # The chaos worker hard-exited on its first chunk, so that
             # chunk must have been dispatched at least twice.
@@ -183,7 +180,7 @@ class TestFailurePaths:
                     ex.address, env={"REPRO_WORKER_HANG_S": "120"}
                 )
             )
-            remote = run_grid(cells, jobs=2, chunk=1, executor=ex)
+            remote = run_grid(cells, jobs=2, executor=ex)
             assert _digest(remote) == _digest(serial)
             assert max(ex._attempts) >= 2
         finally:
@@ -212,7 +209,7 @@ class TestFailurePaths:
         )
         try:
             with pytest.raises(RuntimeError, match="all workers lost"):
-                run_grid(tiny_cells(4, seed0=300), chunk=1, executor=ex)
+                run_grid(tiny_cells(4, seed0=300), executor=ex)
         finally:
             ex.close()
 

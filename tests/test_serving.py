@@ -422,8 +422,8 @@ class TestClosedLoopDifferential:
         got = [_digest(result_to_payload(r)) for r in out.batch_results]
         assert got == expected
 
-    @pytest.mark.parametrize("jobs,chunk", [(1, None), (2, None), (2, 1)])
-    def test_executor_knobs_do_not_change_result(self, tmp_path, jobs, chunk):
+    @pytest.mark.parametrize("jobs,executor", [(1, None), (2, None), (2, "serial")])
+    def test_executor_knobs_do_not_change_result(self, tmp_path, jobs, executor):
         baseline = serve(
             "bg2",
             SPEC,
@@ -437,8 +437,8 @@ class TestClosedLoopDifferential:
             PoissonArrivals(rate_qps=500.0, seed=0),
             num_queries=5,
             jobs=jobs,
-            chunk=chunk,
-            cache=ResultCache(tmp_path / f"j{jobs}c{chunk}"),
+            executor=executor,
+            cache=ResultCache(tmp_path / f"j{jobs}{executor}"),
         )
         assert other.result.to_dict() == baseline.result.to_dict()
 
