@@ -2,17 +2,20 @@
 
 The decoder is shared by the host-side verification path (round-trip tests
 against the source graph) and by the die-level sampler model, which operates
-on exactly these page bytes.
+on exactly these page bytes. Decoding parses a section's header and keeps
+its neighbor entries packed: like the die's node sampler (Section V-A), a
+reader unpacks only the entries it actually reads.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
-from typing import List, Optional, Union
+from typing import Iterator, List, Sequence, Union
 
 import numpy as np
 
-from .address import ADDRESS_BYTES, SectionAddress
+from .address import ADDRESS_BYTES, AddressCodec, SectionAddress
 from .builder import DirectGraphImage
 from .spec import (
     FormatSpec,
@@ -23,6 +26,7 @@ from .spec import (
 )
 
 __all__ = [
+    "PackedAddresses",
     "PrimarySectionView",
     "SecondarySectionView",
     "DecodedPage",
@@ -32,6 +36,52 @@ __all__ = [
 ]
 
 
+class PackedAddresses(Sequence[SectionAddress]):
+    """A read-only run of on-flash address entries, unpacked on access.
+
+    Holds the run's 4-byte little-endian entries as one immutable ``bytes``
+    slice; indexing or iterating unpacks only the entries it touches. It
+    behaves like the list of addresses it stands for: ``len``, negative
+    indices, slices (which return lists), truthiness and ``==`` against a
+    list all work.
+    """
+
+    __slots__ = ("_codec", "_raw")
+
+    def __init__(self, codec: AddressCodec, raw: bytes) -> None:
+        self._codec = codec
+        self._raw = raw
+
+    def __len__(self) -> int:
+        return len(self._raw) // ADDRESS_BYTES
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        n = len(self._raw) // ADDRESS_BYTES
+        if index < 0:
+            index += n
+        if not 0 <= index < n:
+            raise IndexError("address index out of range")
+        at = index * ADDRESS_BYTES
+        return self._codec.unpack(
+            int.from_bytes(self._raw[at : at + ADDRESS_BYTES], "little")
+        )
+
+    def __iter__(self) -> Iterator[SectionAddress]:
+        unpack = self._codec.unpack
+        for (value,) in struct.iter_unpack("<I", self._raw):  # u32 LE entries
+            yield unpack(value)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (PackedAddresses, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
 @dataclass
 class PrimarySectionView:
     """A decoded primary section."""
@@ -39,9 +89,9 @@ class PrimarySectionView:
     node_id: int
     neighbor_count: int  # full degree, including secondary-resident entries
     n_inline: int
-    secondary_addrs: List[SectionAddress]
+    secondary_addrs: PackedAddresses
     feature_bytes: bytes
-    inline_neighbor_addrs: List[SectionAddress]
+    inline_neighbor_addrs: PackedAddresses
     section_len: int
     growth_slots_free: int = 0  # unused reserved secondary slots
 
@@ -59,7 +109,7 @@ class SecondarySectionView:
 
     node_id: int
     neighbor_count: int  # entries in this section only
-    neighbor_addrs: List[SectionAddress]
+    neighbor_addrs: PackedAddresses
     section_len: int
 
     @property
@@ -108,6 +158,28 @@ def decode_section(spec: FormatSpec, raw: bytes, index: int) -> SectionView:
         raise DirectGraphFormatError(f"corrupt section {index}: {err}")
 
 
+def _section_size(spec: FormatSpec, raw: bytes, at: int) -> int:
+    """The section's declared length, checked to end inside the page."""
+    size = int.from_bytes(raw[at + 2 : at + 4], "little")
+    if at + size > spec.page_size:
+        raise DirectGraphFormatError(
+            f"section at offset {at} declares {size} B, past the "
+            f"{spec.page_size} B page end"
+        )
+    return size
+
+
+def _address_run(spec: FormatSpec, raw: bytes, at: int, count: int) -> PackedAddresses:
+    """``count`` packed entries starting at byte ``at``, left packed."""
+    end = at + ADDRESS_BYTES * count
+    if end > spec.page_size:
+        raise DirectGraphFormatError(
+            f"{count} address entries at offset {at} run past the "
+            f"{spec.page_size} B page end"
+        )
+    return PackedAddresses(spec.codec, bytes(raw[at:end]))
+
+
 def _decode_section_unchecked(
     spec: FormatSpec, raw: bytes, index: int
 ) -> SectionView:
@@ -119,23 +191,19 @@ def _decode_section_unchecked(
     stype = raw[at]
     if stype == SECTION_TYPE_PRIMARY:
         growth_free = raw[at + 1]
-        size = int.from_bytes(raw[at + 2 : at + 4], "little")
+        size = _section_size(spec, raw, at)
         node_id = int.from_bytes(raw[at + 4 : at + 8], "little")
         neighbor_count = int.from_bytes(raw[at + 8 : at + 12], "little")
         n_secondary = int.from_bytes(raw[at + 12 : at + 14], "little")
         n_inline = int.from_bytes(raw[at + 14 : at + 16], "little")
         cursor = at + PRIMARY_HEADER_BYTES
-        sec_addrs = []
-        for _ in range(n_secondary):
-            sec_addrs.append(spec.codec.unpack_bytes(bytes(raw[cursor : cursor + 4])))
-            cursor += 4
-        cursor += ADDRESS_BYTES * growth_free  # skip reserved (null) slots
+        sec_addrs = _address_run(spec, raw, cursor, n_secondary)
+        # skip the secondary addresses and the reserved (null) slots
+        cursor += ADDRESS_BYTES * (n_secondary + growth_free)
         feature = bytes(raw[cursor : cursor + spec.feature_bytes])
         cursor += spec.feature_bytes
-        inline = []
-        for _ in range(n_inline):
-            inline.append(spec.codec.unpack_bytes(bytes(raw[cursor : cursor + 4])))
-            cursor += 4
+        inline = _address_run(spec, raw, cursor, n_inline)
+        cursor += ADDRESS_BYTES * n_inline
         if cursor - at != size:
             raise DirectGraphFormatError(
                 f"primary section length mismatch: header says {size}, "
@@ -152,14 +220,12 @@ def _decode_section_unchecked(
             growth_slots_free=growth_free,
         )
     if stype == SECTION_TYPE_SECONDARY:
-        size = int.from_bytes(raw[at + 2 : at + 4], "little")
+        size = _section_size(spec, raw, at)
         node_id = int.from_bytes(raw[at + 4 : at + 8], "little")
         count = int.from_bytes(raw[at + 8 : at + 10], "little")
         cursor = at + SECONDARY_HEADER_BYTES
-        addrs = []
-        for _ in range(count):
-            addrs.append(spec.codec.unpack_bytes(bytes(raw[cursor : cursor + 4])))
-            cursor += 4
+        addrs = _address_run(spec, raw, cursor, count)
+        cursor += ADDRESS_BYTES * count
         if cursor - at != size:
             raise DirectGraphFormatError(
                 f"secondary section length mismatch: header says {size}, "

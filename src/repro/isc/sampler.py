@@ -124,44 +124,28 @@ class DieSampler:
 
     # -- command execution ----------------------------------------------------
 
-    def execute(
-        self,
-        page_bytes: bytes,
-        command: SamplingCommand,
-        section: Optional[SectionView] = None,
-    ) -> SampleResult:
+    def execute(self, page_bytes: bytes, command: SamplingCommand) -> SampleResult:
         """Run one sampling command against the page in the cache register.
 
-        ``section`` optionally supplies the command's already-decoded
-        section view (see :meth:`decode_for`): decoding is a pure function
-        of the page bytes, so callers holding pages in a host-side cache
-        skip re-walking the raw bytes on every hit. Passing the view a
-        fresh decode would produce yields an identical result.
+        The section's neighbor entries stay packed; only the entries the
+        TRNG draws select are unpacked.
         """
         if command.kind in (CommandKind.SAMPLE_PRIMARY, CommandKind.FETCH_FEATURE):
-            return self._execute_primary(page_bytes, command, section)
+            return self._execute_primary(page_bytes, command)
         if command.kind == CommandKind.SAMPLE_SECONDARY:
-            return self._execute_secondary(page_bytes, command, section)
+            return self._execute_secondary(page_bytes, command)
         raise SamplerFault(f"die cannot execute command kind {command.kind}")
 
-    def decode_for(self, page_bytes: bytes, command: SamplingCommand) -> SectionView:
-        """Decode the section a command addresses (memoizable by callers)."""
-        return self._decode(page_bytes, command)
-
-    def _decode(self, page_bytes: bytes, command: SamplingCommand):
+    def _decode(self, page_bytes: bytes, command: SamplingCommand) -> SectionView:
         try:
             return decode_section(self.spec, page_bytes, command.address.section)
         except DirectGraphFormatError as err:
             raise SamplerFault(f"section check failed at {command.address}: {err}")
 
     def _execute_primary(
-        self,
-        page_bytes: bytes,
-        command: SamplingCommand,
-        section: Optional[SectionView] = None,
+        self, page_bytes: bytes, command: SamplingCommand
     ) -> SampleResult:
-        if section is None:
-            section = self._decode(page_bytes, command)
+        section = self._decode(page_bytes, command)
         if not isinstance(section, PrimarySectionView):
             raise SamplerFault(
                 f"expected primary section at {command.address}, got type "
@@ -244,13 +228,9 @@ class DieSampler:
         return result
 
     def _execute_secondary(
-        self,
-        page_bytes: bytes,
-        command: SamplingCommand,
-        section: Optional[SectionView] = None,
+        self, page_bytes: bytes, command: SamplingCommand
     ) -> SampleResult:
-        if section is None:
-            section = self._decode(page_bytes, command)
+        section = self._decode(page_bytes, command)
         if not isinstance(section, SecondarySectionView):
             raise SamplerFault(
                 f"expected secondary section at {command.address}, got type "

@@ -278,7 +278,7 @@ def check_against_baseline(
 
     A benchmark fails when its measured rate is more than ``max_regress``
     worse than the committed baseline — ops/sec (or a ``ratio`` such as
-    the cache suite's warm-memo speedup, where higher is likewise better)
+    the cache suite's warm-cache speedup, where higher is likewise better)
     below ``(1 - r) * base``, or wall seconds above ``base / (1 - r)``.
     """
     if not 0 < max_regress < 1:

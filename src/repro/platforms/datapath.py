@@ -112,12 +112,6 @@ class DataPrepEngine:
         self.task = task
         self.sampler = DieSampler(image.spec, task)
         self.page_cache = page_cache
-        # Decoded-section memo for cache hits: the host cache holds pages
-        # it already parsed, so a hit reuses the decoded view instead of
-        # re-walking the raw bytes (decoding is pure per (page, section) —
-        # pages never mutate within a run). Only the hit path consults it,
-        # so uncached runs stay untouched.
-        self._section_memo: dict = {}
         self.sample_traces: Optional[List] = [] if trace_samples else None
         self._trace: Optional[List[List[int]]] = None
         self.device = SsdDevice(sim, ssd_config, self._die_executor)
@@ -276,14 +270,9 @@ class DataPrepEngine:
         cmd.record.flash_end = cmd.record.transfer_end = sim.now
         result: Optional[SampleResult] = None
         if cmd.sampling is not None:
-            sampling = cmd.sampling
-            page_bytes = self.image.page_bytes(cmd.page_index)
-            key = (sampling.address.page, sampling.address.section)
-            section = self._section_memo.get(key)
-            if section is None:
-                section = self.sampler.decode_for(page_bytes, sampling)
-                self._section_memo[key] = section
-            result = self.sampler.execute(page_bytes, sampling, section)
+            result = self.sampler.execute(
+                self.image.page_bytes(cmd.page_index), cmd.sampling
+            )
         children = self._children_of(cmd, result)
         self._finish(cmd, timeline)
         self._dispatch_children(children, self._streaming_issuer(), ctx)

@@ -10,8 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.directgraph import (
+    PAGE_TYPE_PRIMARY,
+    SECTION_TYPE_PRIMARY,
     DirectGraphFormatError,
     FormatSpec,
+    SectionAddress,
     build_directgraph,
     decode_page,
     decode_section,
@@ -81,3 +84,38 @@ class TestDecoderFuzz:
             sampler.execute(bytes(raw), command)
         except SamplerFault:
             pass
+
+
+class TestSectionBounds:
+    def page_with_overhanging_section(self):
+        """One primary section at offset 492 declaring 24 B (header plus an
+        8 B feature, no entries): it ends 4 B past the 512 B page."""
+        raw = bytearray(SPEC.page_size)
+        raw[0] = PAGE_TYPE_PRIMARY
+        raw[1] = 1
+        raw[2:4] = (492).to_bytes(2, "little")
+        raw[492] = SECTION_TYPE_PRIMARY
+        raw[494:496] = (24).to_bytes(2, "little")
+        raw[496:500] = (7).to_bytes(4, "little")
+        return bytes(raw)
+
+    def test_section_past_page_end_rejected(self):
+        raw = self.page_with_overhanging_section()
+        with pytest.raises(DirectGraphFormatError, match="page end"):
+            decode_section(SPEC, raw, 0)
+        with pytest.raises(DirectGraphFormatError):
+            decode_page(SPEC, raw)
+
+    def test_sampler_faults_on_section_past_page_end(self):
+        config = GnnTaskConfig(num_hops=1, fanout=2, feature_dim=4, seed=0)
+        command = SamplingCommand(
+            kind=CommandKind.SAMPLE_PRIMARY,
+            address=SectionAddress(page=0, section=0),
+            target=7,
+            hop=0,
+            position=0,
+        )
+        with pytest.raises(SamplerFault):
+            DieSampler(SPEC, config).execute(
+                self.page_with_overhanging_section(), command
+            )
