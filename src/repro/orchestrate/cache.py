@@ -9,8 +9,9 @@ have already been simulated — regardless of which entry point ran them
 first.
 
 Entries are JSON documents written atomically (tmp file + rename), so a
-killed run never leaves a truncated entry behind; unreadable entries are
-treated as misses.
+killed run never leaves a truncated entry behind; unreadable entries —
+bytes that do not parse, or JSON that is not an object with an object
+``payload`` — are treated as misses.
 
 The hashing and eviction primitives live in :mod:`repro.cacheutil`
 (shared with the DirectGraph image cache) and are re-exported here for
@@ -57,9 +58,14 @@ class ResultCache:
         """The stored document, or None on miss / unreadable entry."""
         path = self.path_for(key)
         try:
-            return json.loads(path.read_text())
+            document = json.loads(path.read_text())
         except (OSError, ValueError):
             return None
+        if not isinstance(document, dict) or not isinstance(
+            document.get("payload"), dict
+        ):
+            return None
+        return document
 
     def put(self, key: str, document: Dict) -> Path:
         path = self.path_for(key)

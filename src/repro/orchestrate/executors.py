@@ -18,7 +18,9 @@ tuples, simulates them through
 :func:`~repro.orchestrate.batched.execute_batch`, and returns payload
 dicts in job order. Determinism is the protocol's core contract:
 per-cell seeds are fixed *before* dispatch, a cell's simulation depends
-only on (cell, seed), and payloads are JSON-normalized — so every
+only on (cell, seed), and payloads are plain JSON values by construction
+(see :mod:`repro.orchestrate.serialize`), so pickling them back from a
+pool worker or encoding them over the wire changes nothing — every
 backend is bit-identical to ``serial``.
 
 The registry is string-keyed so sweeps and the CLI can select a backend

@@ -10,8 +10,9 @@ Determinism contract: a cell's result depends only on the cell itself
 worker count or execution order. Per-cell seeds are derived with the
 same ``repro.rng`` counter stream used by the samplers — keyed by the
 cell's content hash — so ``--jobs 8`` is bit-identical to ``--jobs 1``,
-and a cached result is bit-identical to a fresh one (both pass through
-the same JSON round trip).
+and a cached result is bit-identical to a fresh one: both are rebuilt by
+``result_from_payload`` from a payload of plain JSON values, a fresh one
+as the simulation built it and a cached one as decoded from disk.
 """
 
 from __future__ import annotations
@@ -163,6 +164,24 @@ def cell_cache_key(cell: GridCell, seed: int) -> str:
     )
 
 
+def _cached_payload(cache: ResultCache, key: str) -> Optional[Dict]:
+    """The cell payload cached under ``key``, or None when it is unusable.
+
+    A missing or unreadable entry is a miss (:meth:`ResultCache.get`), and
+    so is a payload of another ``RESULT_SCHEMA_VERSION`` or one without a
+    ``result`` object: the caller re-simulates and rewrites the entry.
+    """
+    document = cache.get(key)
+    if document is None:
+        return None
+    payload = document["payload"]
+    if payload.get("schema") != RESULT_SCHEMA_VERSION or not isinstance(
+        payload.get("result"), dict
+    ):
+        return None
+    return payload
+
+
 # Per-process bounded LRU of prepared workload images: the in-memory
 # fast path over the on-disk ImageCache. Long sweeps over many distinct
 # workloads evict least-recently-used entries instead of accumulating
@@ -284,8 +303,10 @@ def run_grid(
     """Run every cell, in parallel, skipping cells already in ``cache``.
 
     Returns results in cell order. All results — fresh, parallel, or
-    cached — pass through the same serialized payload form, so they are
-    interchangeable bit for bit.
+    cached — are rebuilt by ``result_from_payload`` from a payload of
+    plain JSON values (a fresh one as built, a cached one as decoded from
+    disk), so they are interchangeable bit for bit. A fresh payload is
+    encoded once, by :meth:`ResultCache.put`.
 
     ``executor`` picks the backend that actually runs pending cells: a
     registered name (``"serial"``, ``"process"``, ``"remote"``), a
@@ -324,9 +345,9 @@ def run_grid(
     payloads: List[Optional[Dict]] = [None] * len(cells)
     pending: List[int] = []
     for i, key in enumerate(keys):
-        document = cache.get(key) if cache is not None else None
-        if document is not None:
-            payloads[i] = document["payload"]
+        payload = _cached_payload(cache, key) if cache is not None else None
+        if payload is not None:
+            payloads[i] = payload
         else:
             pending.append(i)
 
@@ -403,10 +424,8 @@ def load_cached(
     out: List[Optional[RunResult]] = []
     for cell in cells:
         seed = cell.seed if cell.seed is not None else derive_cell_seed(base_seed, cell)
-        document = cache.get(cell_cache_key(cell, seed))
-        out.append(
-            result_from_payload(document["payload"]) if document else None
-        )
+        payload = _cached_payload(cache, cell_cache_key(cell, seed))
+        out.append(result_from_payload(payload) if payload is not None else None)
     return out
 
 
@@ -431,13 +450,13 @@ def outcome_from_cache(
     payloads = []
     missing = []
     for cell, key in zip(cells, keys):
-        document = cache.get(key)
-        if document is None:
+        payload = _cached_payload(cache, key)
+        if payload is None:
             missing.append(
                 f"{cell.resolved_platform().name}/{cell.resolved_workload().name}"
             )
         else:
-            payloads.append(document["payload"])
+            payloads.append(payload)
     if missing:
         raise KeyError(
             f"{len(missing)} of {len(cells)} cells not in result cache "

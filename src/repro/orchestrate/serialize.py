@@ -1,10 +1,13 @@
-"""Versioned envelope around :meth:`RunResult.to_dict`.
+"""Versioned envelopes around the ``to_dict`` forms of results.
 
-Payloads cross two boundaries — worker process -> parent, and disk cache
--> later run — so they are normalized through an actual JSON round trip:
-what a warm-cache load sees is bit-identical to what a fresh simulation
-returned, and any accidentally non-serializable instrument fails loudly
-at produce time, not at cache-read time.
+A cell payload (:func:`result_to_payload`) is plain JSON by construction
+— :meth:`RunResult.to_dict` builds ``dict``/``list``/``str``/``int``/
+``float``/``bool``/``None`` values directly — and is encoded only where
+bytes are written: :meth:`ResultCache.put`, the ``remote`` wire codec,
+``process`` pool pickling. ``tests/test_payload_plain.py`` pins it type
+for type against its own JSON round trip. The scale-out, serving and
+cache-ablation envelopes run once per document and still normalize
+through a JSON round trip.
 """
 
 from __future__ import annotations
@@ -37,12 +40,8 @@ CACHE_ABLATION_SCHEMA_VERSION = 1
 
 
 def result_to_payload(result: RunResult) -> Dict:
-    """Envelope with schema tag; values are guaranteed plain JSON types."""
-    doc = {
-        "schema": RESULT_SCHEMA_VERSION,
-        "result": result.to_dict(),
-    }
-    return json.loads(json.dumps(doc, default=json_default))
+    """Envelope with schema tag around plain JSON values (no copy made)."""
+    return {"schema": RESULT_SCHEMA_VERSION, "result": result.to_dict()}
 
 
 def result_from_payload(payload: Dict) -> RunResult:

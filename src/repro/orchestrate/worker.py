@@ -195,6 +195,7 @@ def _execute_chunk_message(
     """Simulate one chunk message; returns (payloads, executed, cached)."""
     from .batched import execute_batch
     from .cache import ResultCache
+    from .grid import _cached_payload
 
     jobs = [decode_job(j) for j in message.get("jobs", [])]
     if image_cache_root is not None:
@@ -211,9 +212,9 @@ def _execute_chunk_message(
         cache = ResultCache(cache_root)
         to_run = []
         for i, key in enumerate(keys):
-            document = cache.get(key)
-            if document is not None and "payload" in document:
-                payloads[i] = document["payload"]
+            payload = _cached_payload(cache, key)
+            if payload is not None:
+                payloads[i] = payload
             else:
                 to_run.append(i)
 

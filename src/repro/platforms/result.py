@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -47,7 +47,13 @@ class BatchTiming:
         return self.compute_end - self.compute_start
 
     def to_dict(self) -> Dict:
-        return asdict(self)
+        return {
+            "batch_index": self.batch_index,
+            "prep_start": self.prep_start,
+            "prep_end": self.prep_end,
+            "compute_start": self.compute_start,
+            "compute_end": self.compute_end,
+        }
 
     @classmethod
     def from_dict(cls, data: Dict) -> "BatchTiming":
@@ -184,11 +190,14 @@ class RunResult:
     # -- lossless serialization (worker transport + result cache) --------------
 
     def to_dict(self) -> Dict:
-        """Full-fidelity JSON-serializable form; inverse of :meth:`from_dict`.
+        """Full-fidelity form of plain JSON values; inverse of :meth:`from_dict`.
 
         Unlike :func:`repro.bench.export.result_to_dict` (a flattened,
         plot-ready view), this round-trips every instrument so a restored
-        result answers every derived query identically.
+        result answers every derived query identically. Nothing
+        normalizes this dict before it is cached or decoded, so every
+        nested ``to_dict`` must return plain JSON values, exactly what
+        ``json.loads`` would give back.
         """
         data = {
             "platform": self.platform,

@@ -247,13 +247,17 @@ class BatchService:
         self.images_built = 0
         self.image_hits = 0
         self._memo: Dict[str, RunResult] = {}
+        self._keys: Dict[object, str] = {}  # GridCell -> cache key
 
-    @staticmethod
-    def _key(cell) -> str:
-        from ..orchestrate.grid import cell_cache_key
+    def _key(self, cell) -> str:
+        """The cell's cache key, hashed once per distinct cell."""
+        key = self._keys.get(cell)
+        if key is None:
+            from ..orchestrate.grid import cell_cache_key
 
-        # Serving cells always carry an explicit seed.
-        return cell_cache_key(cell, cell.seed)
+            # Serving cells always carry an explicit seed.
+            key = self._keys[cell] = cell_cache_key(cell, cell.seed)
+        return key
 
     def prefetch(self, cells) -> None:
         """Resolve many cells at once (the interleaved fan-out path)."""
@@ -272,8 +276,7 @@ class BatchService:
                 image_cache=self.image_cache,
                 executor=self.executor,
             )
-        for cell, result in zip(todo, outcome.results):
-            self._memo[self._key(cell)] = result
+        self._memo.update(zip(outcome.keys, outcome.results))
         self.cells_executed += outcome.executed
         self.cell_cache_hits += outcome.cache_hits
         self.images_built += outcome.images_built

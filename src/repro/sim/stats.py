@@ -8,7 +8,7 @@ breakdown), and 19 (energy).
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
@@ -167,7 +167,22 @@ class StageAggregator:
         return sum(r.lifetime for r in self.records) / len(self.records)
 
     def to_dict(self) -> Dict:
-        return {"records": [asdict(r) for r in self.records]}
+        # Field by field in declaration order (``asdict`` would deep-copy
+        # every value); tests check the keys against dataclasses.fields.
+        return {
+            "records": [
+                {
+                    "command_id": r.command_id,
+                    "hop": r.hop,
+                    "issued": r.issued,
+                    "flash_start": r.flash_start,
+                    "flash_end": r.flash_end,
+                    "transfer_end": r.transfer_end,
+                    "completed": r.completed,
+                }
+                for r in self.records
+            ]
+        }
 
     @classmethod
     def from_dict(cls, data: Dict) -> "StageAggregator":

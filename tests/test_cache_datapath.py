@@ -14,8 +14,8 @@ Three pins, per ISSUE 7:
 
 Plus the perf claims the ablation rests on: a warm cache strictly
 shortens simulated latency without changing *which* nodes get sampled,
-and cached runs are repeatable (the decoded-section memo on the hit path
-is invisible in results).
+and cached runs are repeatable (nothing the hit path keeps between reads
+leaks into results).
 """
 
 import hashlib
@@ -88,8 +88,8 @@ def test_zero_size_cache_matches_golden_digest(platform, prepared, golden):
 
 
 def test_cached_run_is_repeatable(prepared):
-    """Two identical cached runs serialize byte-identically (the decoded-
-    section memo on the hit path never leaks into results)."""
+    """Two identical cached runs serialize byte-identically (nothing the
+    hit path keeps between reads leaks into results)."""
     config = CacheConfig(capacity_mb=CACHE_MB, policy="clock")
     first = digest("bg2", prepared, page_cache=config)
     second = digest("bg2", prepared, page_cache=config)

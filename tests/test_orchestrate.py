@@ -8,6 +8,7 @@ import pytest
 
 from repro.bench import read_results, result_to_dict, write_results
 from repro.orchestrate import (
+    RESULT_SCHEMA_VERSION,
     GridCell,
     ResultCache,
     cell_cache_key,
@@ -359,6 +360,70 @@ class TestOutcomeFromCache:
         run_grid([hit], jobs=1, cache=cache)
         with pytest.raises(KeyError, match=r"1 of 2 cells"):
             outcome_from_cache([hit, miss], cache)
+
+
+# Entries that parse as JSON but are not a cell document of this schema.
+WRONG_SHAPES = [
+    "{}",
+    "[]",
+    '"x"',
+    '{"payload": null}',
+    '{"payload": {"schema": 0}}',
+    json.dumps({"payload": {"schema": RESULT_SCHEMA_VERSION}}),  # no result
+]
+
+
+class TestWrongShapeEntries:
+    """A cache entry that parses but has the wrong shape is a miss."""
+
+    # The last two parse to a payload object; the schema check rejects them.
+    @pytest.mark.parametrize("content", WRONG_SHAPES[:4])
+    def test_get_returns_none(self, tmp_path, content):
+        cache = ResultCache(tmp_path)
+        cache.path_for("abc").write_text(content)
+        assert cache.get("abc") is None
+
+    @pytest.mark.parametrize("content", WRONG_SHAPES)
+    def test_cell_entry_is_a_miss(self, tmp_path, content):
+        cache = ResultCache(tmp_path)
+        cells = tiny_cells(platforms=("bg2", "cc"))
+        cold = run_grid(cells, jobs=1, cache=cache, executor="serial")
+        path = cache.path_for(cold.keys[1])
+        entry = path.read_bytes()
+        path.write_text(content)
+
+        assert load_cached(cells, cache)[1] is None
+        with pytest.raises(KeyError, match=r"1 of 2 cells .*cc/ogbn"):
+            outcome_from_cache(cells, cache)
+
+        again = run_grid(cells, jobs=1, cache=cache, executor="serial")
+        assert again.executed == 1 and again.from_cache == [True, False]
+        assert path.read_bytes() == entry  # rewritten, byte for byte
+        assert [r.to_dict() for r in again.results] == [
+            r.to_dict() for r in cold.results
+        ]
+
+    @pytest.mark.parametrize("content", WRONG_SHAPES)
+    def test_remote_worker_re_simulates_the_cell(self, tmp_path, monkeypatch, content):
+        from repro.orchestrate.wire import encode_job
+        from repro.orchestrate.worker import _execute_chunk_message
+
+        # No heartbeat falls due, so the chunk never touches the socket.
+        monkeypatch.setenv("REPRO_WORKER_HEARTBEAT_S", "3600")
+        cache = ResultCache(tmp_path)
+        (cell,) = tiny_cells(platforms=("bg2",))
+        cold = run_grid([cell], jobs=1, cache=cache, executor="serial")
+        cache.path_for(cold.keys[0]).write_text(content)
+        message = {
+            "chunk_id": 0,
+            "jobs": [encode_job((cell, derive_cell_seed(0, cell), None))],
+            "keys": cold.keys,
+            "cache_root": str(tmp_path),
+        }
+        payloads, executed, cached = _execute_chunk_message(None, message, None)
+        assert (executed, cached) == (1, 0)
+        assert result_from_payload(payloads[0]).to_dict() == cold.results[0].to_dict()
+        assert load_cached([cell], cache)[0].to_dict() == cold.results[0].to_dict()
 
 
 class TestScaleOutCache:

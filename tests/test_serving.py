@@ -613,6 +613,30 @@ class TestSweepAndKnee:
         with pytest.raises(ValueError):
             sweep_serving("bg2", SPEC, [])
 
+    def test_cell_keys_hashed_at_most_twice_per_cell(self, tmp_path, monkeypatch):
+        """One hash for the service's key memo, one inside ``run_grid``."""
+        from collections import Counter
+
+        import repro.orchestrate.grid as grid
+
+        calls = Counter()
+        real = grid.cell_cache_key
+
+        def counting(cell, seed):
+            calls[cell, seed] += 1
+            return real(cell, seed)
+
+        monkeypatch.setattr(grid, "cell_cache_key", counting)
+        sweep = sweep_serving(
+            "bg2",
+            SPEC,
+            [200.0, 2000.0, 50_000.0],
+            num_queries=6,
+            cache=ResultCache(tmp_path / "cache"),
+        )
+        assert sweep.cells_executed == len(calls) > 0
+        assert max(calls.values()) <= 2
+
 
 class _StalledRun:
     """A kernel that makes no progress and never finishes."""
