@@ -79,6 +79,65 @@ class _BatchCtx:
     done: object = None  # set by the engine (an Event)
 
 
+class _DieWork:
+    """The die executor: what a die does after its page read.
+
+    It holds what that step reads, not the engine: the engine owns the
+    device the executor is wired into, so a bound method of the engine
+    would make every finished run one reference cycle.
+    """
+
+    __slots__ = ("ssd_config", "platform", "image", "sampler", "meters", "feature_bytes")
+
+    def __init__(self, engine: "DataPrepEngine") -> None:
+        self.ssd_config = engine.ssd_config
+        self.platform = engine.platform
+        self.image = engine.image
+        self.sampler = engine.sampler
+        self.meters = engine.meters
+        self.feature_bytes = engine.image.spec.feature_bytes
+
+    def execute(self, job: FlashJob) -> DieExecution:
+        """Called by the die model when a page read finishes."""
+        cmd: Optional[PrepCommand] = job.payload
+        cfg = self.ssd_config
+        page_size = cfg.flash.page_size
+        if cmd is None:
+            # a regular (non-GNN) page read sharing the backend
+            return DieExecution(0.0, page_size, None)
+        if cmd.sampling is None:
+            if cmd.payload_kind == "feature" and self.platform.die_sampling:
+                # on-die vector retriever returns only the vector
+                extra = cfg.die_sampler.section_scan_s
+                payload = RESULT_HEADER_BYTES + self.feature_bytes
+                self.meters.add("die_feature_extracts")
+            else:
+                # raw page read (feature-table page or full-list structure
+                # page for host-side sampling)
+                extra = 0.0
+                payload = page_size
+            return DieExecution(extra, payload, None)
+
+        result = self.sampler.execute(
+            self.image.page_bytes(cmd.page_index), cmd.sampling
+        )
+        if self.platform.die_sampling:
+            extra = (
+                cfg.die_sampler.section_scan_s * result.sections_scanned
+                + cfg.die_sampler.per_neighbor_s * result.neighbors_sampled
+            )
+            payload = result.payload_bytes()
+            if not self.platform.feature_in_primary and result.feature_bytes:
+                # without DirectGraph the structure pages hold no features:
+                # the die returns sampled ids/commands only
+                payload -= len(result.feature_bytes)
+            self.meters.add("die_sample_neighbors", result.neighbors_sampled)
+        else:
+            extra = 0.0
+            payload = page_size
+        return DieExecution(extra, payload, result)
+
+
 class DataPrepEngine:
     """Drives one platform's data preparation over the shared device."""
 
@@ -114,12 +173,17 @@ class DataPrepEngine:
         self.page_cache = page_cache
         self.sample_traces: Optional[List] = [] if trace_samples else None
         self._trace: Optional[List[List[int]]] = None
-        self.device = SsdDevice(sim, ssd_config, self._die_executor)
-        self.channel_parsers = [
-            Resource(sim, capacity=1, name=f"parser{c}")
-            for c in range(ssd_config.flash.num_channels)
-        ]
         self.meters = Meter()
+        self.device = SsdDevice(sim, ssd_config, _DieWork(self).execute)
+        # only router platforms parse results in per-channel hardware
+        self.channel_parsers = (
+            [
+                Resource(sim, capacity=1, name=f"parser{c}")
+                for c in range(ssd_config.flash.num_channels)
+            ]
+            if platform.die_sampling and platform.hw_router
+            else []
+        )
         self.stage_agg = StageAggregator()
         # Bounded at two live timelines (first + current): only the first
         # batch's timeline is ever rendered (Figure 16), so long serving
@@ -179,48 +243,6 @@ class DataPrepEngine:
             sampling=sampling,
             node_id=target,
         )
-
-    # ---------------------------------------------------------- die executor
-
-    def _die_executor(self, job: FlashJob) -> DieExecution:
-        """Called by the die model when a page read finishes."""
-        cmd: Optional[PrepCommand] = job.payload
-        cfg = self.ssd_config
-        page_size = cfg.flash.page_size
-        if cmd is None:
-            # a regular (non-GNN) page read sharing the backend
-            return DieExecution(0.0, page_size, None)
-        if cmd.sampling is None:
-            if cmd.payload_kind == "feature" and self.platform.die_sampling:
-                # on-die vector retriever returns only the vector
-                extra = cfg.die_sampler.section_scan_s
-                payload = RESULT_HEADER_BYTES + self._feature_bytes
-                self.meters.add("die_feature_extracts")
-            else:
-                # raw page read (feature-table page or full-list structure
-                # page for host-side sampling)
-                extra = 0.0
-                payload = page_size
-            return DieExecution(extra, payload, None)
-
-        result = self.sampler.execute(
-            self.image.page_bytes(cmd.page_index), cmd.sampling
-        )
-        if self.platform.die_sampling:
-            extra = (
-                cfg.die_sampler.section_scan_s * result.sections_scanned
-                + cfg.die_sampler.per_neighbor_s * result.neighbors_sampled
-            )
-            payload = result.payload_bytes()
-            if not self.platform.feature_in_primary and result.feature_bytes:
-                # without DirectGraph the structure pages hold no features:
-                # the die returns sampled ids/commands only
-                payload -= len(result.feature_bytes)
-            self.meters.add("die_sample_neighbors", result.neighbors_sampled)
-        else:
-            extra = 0.0
-            payload = page_size
-        return DieExecution(extra, payload, result)
 
     # ------------------------------------------------------- command process
 

@@ -7,7 +7,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..sim.stats import BusyTracker, HopTimeline, Meter, StageAggregator, active_count_series
+from ..sim.stats import (
+    HopTimeline,
+    Meter,
+    PackedTrackers,
+    StageAggregator,
+    active_count_series,
+)
 
 __all__ = ["BatchTiming", "RunResult", "pack_trace"]
 
@@ -62,7 +68,17 @@ class BatchTiming:
 
 @dataclass
 class RunResult:
-    """Everything measured in one platform run."""
+    """Everything measured in one platform run.
+
+    A result holds its per-unit and per-command records packed, whether
+    :meth:`PlatformRun.finalize <repro.platforms.runner.PlatformRun.finalize>`
+    built it or :meth:`from_dict` decoded it: ``die_trackers`` and
+    ``channel_trackers`` are :class:`~repro.sim.stats.PackedTrackers`
+    (a list of :class:`~repro.sim.stats.BusyTracker` given here is
+    packed on construction) and ``stage_agg`` is packed column by
+    column. So :meth:`to_dict` has one path, and a result is a few
+    arrays rather than one object per die, channel and command.
+    """
 
     platform: str
     workload: str
@@ -73,8 +89,8 @@ class RunResult:
     stage_agg: StageAggregator
     hop_timeline: HopTimeline
     meters: Meter
-    die_trackers: List[BusyTracker] = field(default_factory=list)
-    channel_trackers: List[BusyTracker] = field(default_factory=list)
+    die_trackers: PackedTrackers = field(default_factory=PackedTrackers)
+    channel_trackers: PackedTrackers = field(default_factory=PackedTrackers)
     firmware_busy_seconds: float = 0.0
     energy_breakdown: Dict[str, float] = field(default_factory=dict)
     background_io: Optional[object] = None  # BackgroundIoStats when enabled
@@ -90,6 +106,11 @@ class RunResult:
     # ragged) batches via run_platform(targets=...); None for the
     # standard batch_size x num_batches runs.
     served_targets: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        self.die_trackers = PackedTrackers.pack(self.die_trackers)
+        self.channel_trackers = PackedTrackers.pack(self.channel_trackers)
+        self.stage_agg.pack()
 
     # -- headline metrics ------------------------------------------------------
 
@@ -132,13 +153,13 @@ class RunResult:
     def mean_active_dies(self) -> float:
         if self.total_seconds <= 0:
             return 0.0
-        busy = sum(t.busy_time(0.0, self.total_seconds) for t in self.die_trackers)
+        busy = sum(self.die_trackers.busy_times(0.0, self.total_seconds))
         return busy / self.total_seconds
 
     def mean_active_channels(self) -> float:
         if self.total_seconds <= 0:
             return 0.0
-        busy = sum(t.busy_time(0.0, self.total_seconds) for t in self.channel_trackers)
+        busy = sum(self.channel_trackers.busy_times(0.0, self.total_seconds))
         return busy / self.total_seconds
 
     # -- latency breakdown (Figure 15f) ------------------------------------------
@@ -156,8 +177,8 @@ class RunResult:
         """
         n = max(1, len(self.batches))
         total = self.total_seconds
-        flash = sum(t.busy_time(0.0, total) for t in self.die_trackers)
-        channel = sum(t.busy_time(0.0, total) for t in self.channel_trackers)
+        flash = sum(self.die_trackers.busy_times(0.0, total))
+        channel = sum(self.channel_trackers.busy_times(0.0, total))
         host_units = max(1.0, self.meters.get("host_threads"))
         core_units = max(1.0, self.meters.get("fw_cores"))
         die_units = max(1, len(self.die_trackers))
@@ -209,8 +230,8 @@ class RunResult:
             "stage_agg": self.stage_agg.to_dict(),
             "hop_timeline": self.hop_timeline.to_dict(),
             "meters": self.meters.as_dict(),
-            "die_trackers": [t.to_dict() for t in self.die_trackers],
-            "channel_trackers": [t.to_dict() for t in self.channel_trackers],
+            "die_trackers": self.die_trackers.to_dicts(),
+            "channel_trackers": self.channel_trackers.to_dicts(),
             "firmware_busy_seconds": self.firmware_busy_seconds,
             "energy_breakdown": dict(self.energy_breakdown),
             "background_io": (
@@ -252,10 +273,8 @@ class RunResult:
             stage_agg=StageAggregator.from_dict(data["stage_agg"]),
             hop_timeline=HopTimeline.from_dict(data["hop_timeline"]),
             meters=Meter.from_dict(data["meters"]),
-            die_trackers=[BusyTracker.from_dict(t) for t in data["die_trackers"]],
-            channel_trackers=[
-                BusyTracker.from_dict(t) for t in data["channel_trackers"]
-            ],
+            die_trackers=PackedTrackers.from_dicts(data["die_trackers"]),
+            channel_trackers=PackedTrackers.from_dicts(data["channel_trackers"]),
             firmware_busy_seconds=float(data["firmware_busy_seconds"]),
             energy_breakdown=dict(data["energy_breakdown"]),
             background_io=background_io,

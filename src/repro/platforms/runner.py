@@ -277,6 +277,7 @@ class PlatformRun:
         if not self._done.triggered:
             raise RuntimeError("pipeline did not finish (simulation stalled)")
         sim = self.sim
+        sim.release_pools()
         prep = self._prep
         platform = self._platform
         config = self._config
@@ -307,7 +308,7 @@ class PlatformRun:
         report = attribute_energy(
             meters=meters.as_dict(),
             firmware_busy_s=result.firmware_busy_seconds,
-            flash_busy_s=sum(t.busy_time(0.0, total) for t in result.die_trackers),
+            flash_busy_s=sum(result.die_trackers.busy_times(0.0, total)),
             channel_bytes=prep.device.flash.channel_bytes,
             total_seconds=total,
             total_targets=result.total_targets,

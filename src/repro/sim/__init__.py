@@ -6,6 +6,7 @@ from .stats import (
     BusyTracker,
     HopTimeline,
     Meter,
+    PackedTrackers,
     StageAggregator,
     StageRecord,
     active_count_series,
@@ -23,6 +24,7 @@ __all__ = [
     "BandwidthPipe",
     "Store",
     "BusyTracker",
+    "PackedTrackers",
     "active_count_series",
     "StageRecord",
     "StageAggregator",

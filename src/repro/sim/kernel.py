@@ -45,7 +45,9 @@ Two further allocation savers, both invisible to delivery order:
 * delivered ``Timeout``/``Event``/``Process`` objects are recycled
   through small per-simulator pools when (and only when) the kernel
   holds the final reference, so steady-state event churn allocates
-  nothing.
+  nothing. A pooled event points back at its simulator, so an owner
+  done with a simulation calls :meth:`Simulator.release_pools`, and
+  the finished run is then freed by reference counting alone.
 
 Example
 -------
@@ -479,6 +481,18 @@ class Simulator:
             self._call_soon_with(_start_process, proc)
             return proc
         return Process(self, gen, name)
+
+    def release_pools(self) -> None:
+        """Empty the recycling pools.
+
+        A pooled event's ``sim`` is this simulator, so while a pool holds
+        one the simulator is a reference cycle that outlives its last
+        user until a full collection finds it. Delivery order never
+        depends on the pools; a later run simply refills them.
+        """
+        self._timeout_pool.clear()
+        self._event_pool.clear()
+        self._process_pool.clear()
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)

@@ -9,10 +9,15 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from itertools import chain
+from operator import attrgetter, itemgetter
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 __all__ = [
     "BusyTracker",
+    "PackedTrackers",
     "active_count_series",
     "StageRecord",
     "StageAggregator",
@@ -50,32 +55,111 @@ class BusyTracker:
 
     def busy_time(self, t0: float = 0.0, t1: Optional[float] = None) -> float:
         """Total busy seconds clipped to [t0, t1]."""
-        total = 0.0
-        for s, e in self.intervals:
-            if t1 is not None:
-                e = min(e, t1)
-            s = max(s, t0)
-            if e > s:
-                total += e - s
-        return total
+        return _busy_time(self.intervals, t0, t1)
 
     def utilization(self, t0: float, t1: float) -> float:
         if t1 <= t0:
             return 0.0
         return self.busy_time(t0, t1) / (t1 - t0)
 
-    def to_dict(self) -> Dict:
-        """JSON-serializable snapshot (open busy spans are dropped)."""
-        return {
-            "name": self.name,
-            "intervals": [[s, e] for s, e in self.intervals],
-        }
+
+def _busy_time(intervals: Iterable, t0: float, t1: Optional[float]) -> float:
+    total = 0.0
+    for s, e in intervals:
+        if t1 is not None:
+            e = min(e, t1)
+        s = max(s, t0)
+        if e > s:
+            total += e - s
+    return total
+
+
+def _rows_array(rows: List, dtype, width: int) -> np.ndarray:
+    """Equal-length ``rows`` as one ``(len(rows), width)`` array."""
+    flat = np.fromiter(chain.from_iterable(rows), dtype, width * len(rows))
+    return flat.reshape(-1, width)
+
+
+def _tracker_view(name: str, rows: List[List[float]]) -> BusyTracker:
+    tracker = BusyTracker(name)
+    tracker.intervals = [(s, e) for s, e in rows]
+    return tracker
+
+
+class PackedTrackers(Sequence[BusyTracker]):
+    """The busy intervals of a row of units, packed and read-only.
+
+    Holds the tracker names, one offset per tracker into ``spans`` (and
+    one past the last), and ``spans``: one float64 array of ``(start,
+    end)`` rows, tracker by tracker. It behaves like the list of
+    :class:`BusyTracker` it stands for — ``len``, negative indices,
+    slices (which return lists), truthiness and iteration work — and
+    every tracker it yields is a fresh view. :meth:`busy_times` and
+    :func:`active_count_series` read the rows in the order the trackers
+    would, so they add up bit for bit as on the trackers.
+    """
+
+    __slots__ = ("names", "offsets", "spans")
+
+    def __init__(
+        self,
+        names: Sequence[str] = (),
+        offsets: Sequence[int] = (0,),
+        spans: Optional[np.ndarray] = None,
+    ) -> None:
+        self.names = tuple(names)
+        self.offsets = tuple(offsets)
+        self.spans = np.empty((0, 2)) if spans is None else spans
 
     @classmethod
-    def from_dict(cls, data: Dict) -> "BusyTracker":
-        tracker = cls(name=data.get("name", ""))
-        tracker.intervals = [(float(s), float(e)) for s, e in data["intervals"]]
-        return tracker
+    def pack(cls, trackers: Iterable[BusyTracker]) -> "PackedTrackers":
+        """Pack live trackers (open busy spans are dropped); idempotent."""
+        if isinstance(trackers, cls):
+            return trackers
+        return cls._of((t.name, t.intervals) for t in trackers)
+
+    @classmethod
+    def from_dicts(cls, data: Sequence[Dict]) -> "PackedTrackers":
+        """Inverse of :meth:`to_dicts`."""
+        return cls._of((t.get("name", ""), t["intervals"]) for t in data)
+
+    @classmethod
+    def _of(cls, named_intervals) -> "PackedTrackers":
+        names, offsets, pairs = [], [0], []
+        for name, intervals in named_intervals:
+            names.append(name)
+            pairs.extend(intervals)
+            offsets.append(len(pairs))
+        return cls(names, offsets, _rows_array(pairs, np.float64, 2))
+
+    def to_dicts(self) -> List[Dict]:
+        """One ``{"name", "intervals": [[start, end], ...]}`` per tracker."""
+        return [
+            {"name": name, "intervals": rows}
+            for name, rows in zip(self.names, self._split())
+        ]
+
+    def busy_times(self, t0: float = 0.0, t1: Optional[float] = None) -> List[float]:
+        """Each tracker's :meth:`BusyTracker.busy_time`, in order."""
+        return [_busy_time(rows, t0, t1) for rows in self._split()]
+
+    def _split(self) -> List[List[List[float]]]:
+        """Each tracker's ``[start, end]`` rows, tracker by tracker."""
+        pairs = self.spans.tolist()
+        return [pairs[lo:hi] for lo, hi in zip(self.offsets, self.offsets[1:])]
+
+    def __len__(self) -> int:
+        return len(self.names)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
+        index = range(len(self))[index]  # negative indices, bounds check
+        lo, hi = self.offsets[index], self.offsets[index + 1]
+        return _tracker_view(self.names[index], self.spans[lo:hi].tolist())
+
+    def __iter__(self) -> Iterator[BusyTracker]:
+        return map(_tracker_view, self.names, self._split())
 
 
 def active_count_series(
@@ -95,18 +179,23 @@ def active_count_series(
         return [], []
     width = (t1 - t0) / bins
     busy = [0.0] * bins
-    for tracker in trackers:
-        for s, e in tracker.intervals:
-            s = max(s, t0)
-            e = min(e, t1)
-            if e <= s:
-                continue
-            first = int((s - t0) / width)
-            last = min(int((e - t0) / width), bins - 1)
-            for b in range(first, last + 1):
-                lo = t0 + b * width
-                hi = lo + width
-                busy[b] += max(0.0, min(e, hi) - max(s, lo))
+    # tracker by tracker, interval by interval: the packed rows are in
+    # exactly that order
+    if isinstance(trackers, PackedTrackers):
+        intervals = trackers.spans.tolist()
+    else:
+        intervals = [iv for tracker in trackers for iv in tracker.intervals]
+    for s, e in intervals:
+        s = max(s, t0)
+        e = min(e, t1)
+        if e <= s:
+            continue
+        first = int((s - t0) / width)
+        last = min(int((e - t0) / width), bins - 1)
+        for b in range(first, last + 1):
+            lo = t0 + b * width
+            hi = lo + width
+            busy[b] += max(0.0, min(e, hi) - max(s, lo))
     centers = [t0 + (b + 0.5) * width for b in range(bins)]
     return centers, [v / width for v in busy]
 
@@ -128,66 +217,143 @@ class StageRecord:
     completed: float = 0.0  # result processed at frontend
 
     def breakdown(self) -> Dict[str, float]:
-        return {
-            "wait_before_flash": max(0.0, self.flash_start - self.issued),
-            "flash": max(0.0, self.flash_end - self.flash_start),
-            "transfer": max(0.0, self.transfer_end - self.flash_end),
-            "wait_after_flash": max(0.0, self.completed - self.transfer_end),
-        }
+        return dict(zip(_BREAKDOWN_KEYS, _breakdown(*_record_times(self))))
 
     @property
     def lifetime(self) -> float:
         return self.completed - self.issued
 
 
-class StageAggregator:
-    """Collects StageRecords and averages their breakdowns."""
+_ID_FIELDS = ("command_id", "hop")
+_TIME_FIELDS = ("issued", "flash_start", "flash_end", "transfer_end", "completed")
+_BREAKDOWN_KEYS = ("wait_before_flash", "flash", "transfer", "wait_after_flash")
+_record_ids, _record_times = attrgetter(*_ID_FIELDS), attrgetter(*_TIME_FIELDS)
+_dict_ids, _dict_times = itemgetter(*_ID_FIELDS), itemgetter(*_TIME_FIELDS)
 
-    __slots__ = ("records",)
+
+def _breakdown(issued, flash_start, flash_end, transfer_end, completed) -> Tuple:
+    return (
+        max(0.0, flash_start - issued),
+        max(0.0, flash_end - flash_start),
+        max(0.0, transfer_end - flash_end),
+        max(0.0, completed - transfer_end),
+    )
+
+
+class _PackedRecords(Sequence[StageRecord]):
+    """Read-only packed stage records; a :class:`StageRecord` per access."""
+
+    __slots__ = ("_ids", "_times")
+
+    def __init__(self, ids: np.ndarray, times: np.ndarray) -> None:
+        self._ids = ids
+        self._times = times
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
+        index = range(len(self))[index]  # negative indices, bounds check
+        return StageRecord(*self._ids[index].tolist(), *self._times[index].tolist())
+
+    def __iter__(self) -> Iterator[StageRecord]:
+        for ids, times in zip(self._ids.tolist(), self._times.tolist()):
+            yield StageRecord(*ids, *times)
+
+
+class StageAggregator:
+    """Collects StageRecords and averages their breakdowns.
+
+    A running simulation adds live records. :meth:`pack`, called when
+    the run is finalized (and by :meth:`from_dict`), stores them column
+    by column — command id and hop per record in one int64 array, the
+    five timestamps in one float64 array — and makes the aggregator
+    read-only, so a finished result keeps no per-command objects.
+    :attr:`records` yields :class:`StageRecord` objects on both forms
+    (built on access once packed), and the means add record by record
+    in the same order on both, so they agree bit for bit.
+    """
+
+    __slots__ = ("_live", "_ids", "_times")
 
     def __init__(self) -> None:
-        self.records: List[StageRecord] = []
+        self._live: Optional[List[StageRecord]] = []
+        self._ids: Optional[np.ndarray] = None
+        self._times: Optional[np.ndarray] = None
 
     def add(self, record: StageRecord) -> None:
-        self.records.append(record)
+        if self._live is None:
+            raise RuntimeError("a packed StageAggregator is read-only")
+        self._live.append(record)
+
+    def pack(self) -> None:
+        """Store the records column by column; idempotent."""
+        if self._live is not None:
+            self._set_columns(*self._columns())
+
+    def _set_columns(self, ids: List, times: List) -> None:
+        self._ids = _rows_array(ids, np.int64, len(_ID_FIELDS))
+        self._times = _rows_array(times, np.float64, len(_TIME_FIELDS))
+        self._live = None
+
+    @property
+    def records(self) -> Sequence[StageRecord]:
+        if self._live is not None:
+            return self._live
+        return _PackedRecords(self._ids, self._times)
+
+    def _columns(self) -> Tuple[List, List]:
+        """Per-record ``(command_id, hop)`` and timestamp rows, in order."""
+        if self._live is None:
+            return self._ids.tolist(), self._times.tolist()
+        return list(map(_record_ids, self._live)), list(map(_record_times, self._live))
 
     def mean_breakdown(self) -> Dict[str, float]:
-        if not self.records:
-            return {k: 0.0 for k in ("wait_before_flash", "flash", "transfer", "wait_after_flash")}
-        sums: Dict[str, float] = defaultdict(float)
-        for rec in self.records:
-            for key, val in rec.breakdown().items():
-                sums[key] += val
-        n = len(self.records)
-        return {k: v / n for k, v in sums.items()}
+        _ids, times = self._columns()
+        if not times:
+            return {k: 0.0 for k in _BREAKDOWN_KEYS}
+        sums = [0.0] * len(_BREAKDOWN_KEYS)
+        for row in times:
+            for k, val in enumerate(_breakdown(*row)):
+                sums[k] += val
+        n = len(times)
+        return {k: v / n for k, v in zip(_BREAKDOWN_KEYS, sums)}
 
     def mean_lifetime(self) -> float:
-        if not self.records:
+        _ids, times = self._columns()
+        if not times:
             return 0.0
-        return sum(r.lifetime for r in self.records) / len(self.records)
+        return sum(completed - issued for issued, *_, completed in times) / len(times)
 
     def to_dict(self) -> Dict:
-        # Field by field in declaration order (``asdict`` would deep-copy
-        # every value); tests check the keys against dataclasses.fields.
+        # Field by field in declaration order; tests check the keys
+        # against dataclasses.fields.
+        ids, times = self._columns()
         return {
             "records": [
                 {
-                    "command_id": r.command_id,
-                    "hop": r.hop,
-                    "issued": r.issued,
-                    "flash_start": r.flash_start,
-                    "flash_end": r.flash_end,
-                    "transfer_end": r.transfer_end,
-                    "completed": r.completed,
+                    "command_id": command_id,
+                    "hop": hop,
+                    "issued": issued,
+                    "flash_start": flash_start,
+                    "flash_end": flash_end,
+                    "transfer_end": transfer_end,
+                    "completed": completed,
                 }
-                for r in self.records
+                for (command_id, hop), (
+                    issued, flash_start, flash_end, transfer_end, completed
+                ) in zip(ids, times)
             ]
         }
 
     @classmethod
     def from_dict(cls, data: Dict) -> "StageAggregator":
+        """Inverse of :meth:`to_dict`; the result comes back packed."""
+        records = data["records"]
         agg = cls()
-        agg.records = [StageRecord(**rec) for rec in data["records"]]
+        agg._set_columns(list(map(_dict_ids, records)), list(map(_dict_times, records)))
         return agg
 
 

@@ -74,8 +74,18 @@ class FlashDieModel:
         self.name = name
         senses = config.planes_per_die if config.exploit_planes else 1
         self._sense = Resource(sim, capacity=senses, name=f"{name}.sense")
-        self._engine = Resource(sim, capacity=1, name=f"{name}.engine")
-        self._register = Resource(sim, capacity=1, name=f"{name}.register")
+        # the shared sampler/output engine and the data register exist
+        # only under the options that contend on them
+        self._engine = (
+            Resource(sim, capacity=1, name=f"{name}.engine")
+            if config.exploit_planes or config.pipelined_registers
+            else None
+        )
+        self._register = (
+            Resource(sim, capacity=1, name=f"{name}.register")
+            if config.pipelined_registers
+            else None
+        )
         self.jobs_served = 0
 
     @property
@@ -130,45 +140,72 @@ class FlashDieModel:
                 self._engine.release()
             else:
                 self._sense.release()
-            job.done.succeed(job)
+            _fire_done(job)
 
     def _finish_pipelined(self, job: FlashJob, transfer: Event):
         yield transfer
         job.record.transfer_end = self.sim.now
         self._register.release()
-        job.done.succeed(job)
+        _fire_done(job)
+
+
+def _fire_done(job: FlashJob) -> None:
+    """Fire ``job.done`` with the job as its value, dropping the job's hold.
+
+    An event whose value is the job that holds it is a reference cycle,
+    one per flash command, pinning the command and everything it points
+    to until a full collection. No waiter reads ``job.done`` after it
+    fires.
+    """
+    done, job.done = job.done, None
+    done.succeed(job)
 
 
 class FlashBackend:
-    """All channels and dies, with page-index -> die routing."""
+    """All channels and dies, with page-index -> die routing.
+
+    Channels are built up front; a die (its :class:`FlashDieModel` and
+    resources) is built the first time a page maps to it. Building a
+    resource schedules nothing, so delivery order is the same as with
+    every die built eagerly. A one-query cell reads a few dozen of the
+    Table II device's 128 dies. :meth:`die_trackers` still reports every
+    die, channel-major; a die that was never built reports an empty
+    tracker.
+    """
 
     def __init__(
         self, sim: Simulator, config: FlashConfig, executor: Executor
     ) -> None:
         self.sim = sim
         self.config = config
-        self.channels: List[BandwidthPipe] = []
-        self.dies: List[List[FlashDieModel]] = []
-        for c in range(config.num_channels):
-            pipe = BandwidthPipe(
+        self.executor = executor
+        self.channels: List[BandwidthPipe] = [
+            BandwidthPipe(
                 sim,
                 bytes_per_sec=config.channel_bandwidth_bps,
                 per_transfer_overhead=config.channel_overhead_s,
                 name=f"channel{c}",
             )
-            self.channels.append(pipe)
-            self.dies.append(
-                [
-                    FlashDieModel(
-                        sim, config, pipe, executor, name=f"ch{c}.die{d}"
-                    )
-                    for d in range(config.dies_per_channel)
-                ]
-            )
+            for c in range(config.num_channels)
+        ]
+        # channel-major: die d of channel c sits at c * dies_per_channel + d
+        self._dies: List[Optional[FlashDieModel]] = [None] * (
+            config.num_channels * config.dies_per_channel
+        )
 
     def die_for_page(self, page_index: int) -> FlashDieModel:
         channel, die = self.config.locate(page_index)
-        return self.dies[channel][die]
+        index = channel * self.config.dies_per_channel + die
+        model = self._dies[index]
+        if model is None:
+            model = self._dies[index] = FlashDieModel(
+                self.sim,
+                self.config,
+                self.channels[channel],
+                self.executor,
+                name=_die_name(channel, die),
+            )
+        return model
 
     def submit(self, job: FlashJob) -> Event:
         return self.die_for_page(job.page_index).submit(job)
@@ -176,21 +213,33 @@ class FlashBackend:
     # -- instrumentation ------------------------------------------------------
 
     def die_trackers(self) -> List[BusyTracker]:
-        return [die.tracker for row in self.dies for die in row]
+        per_channel = self.config.dies_per_channel
+        return [
+            die.tracker
+            if die is not None
+            else BusyTracker(
+                name=f"{_die_name(*divmod(index, per_channel))}.sense"
+            )
+            for index, die in enumerate(self._dies)
+        ]
 
     def channel_trackers(self) -> List[BusyTracker]:
         return [pipe.tracker for pipe in self.channels]
 
     def close_trackers(self) -> None:
         now = self.sim.now
-        for row in self.dies:
-            for die in row:
+        for die in self._dies:
+            if die is not None:
                 die.tracker.close(now)
 
     @property
     def total_reads(self) -> int:
-        return sum(die.jobs_served for row in self.dies for die in row)
+        return sum(die.jobs_served for die in self._dies if die is not None)
 
     @property
     def channel_bytes(self) -> int:
         return sum(pipe.bytes_moved for pipe in self.channels)
+
+
+def _die_name(channel: int, die: int) -> str:
+    return f"ch{channel}.die{die}"

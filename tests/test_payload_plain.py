@@ -8,6 +8,11 @@ These tests pin what such a round trip would guarantee:
   type (``1`` against ``1.0``, a tuple against a list or a numpy scalar
   against a float all fail) and key order for key order, on every
   platform and with every optional result block;
+* decoding a payload and encoding it again gives the payload back, type
+  for type and key for key, once integer meters are floats (decoding
+  normalizes them, so a decoded document is a fixpoint) — for cell
+  results and for a scale-out document, whose per-device results are
+  decoded ones;
 * the hand-built ``to_dict`` of each dataclass instrument emits every
   field, in declaration order, with the values ``dataclasses.asdict``
   gives;
@@ -27,7 +32,8 @@ from repro.orchestrate import GridCell, ResultCache, run_grid
 from repro.orchestrate.serialize import result_to_payload
 from repro.platforms import PreparedWorkload, platform_names, run_platform
 from repro.platforms.background import BackgroundIoConfig
-from repro.platforms.result import BatchTiming
+from repro.platforms.result import BatchTiming, RunResult
+from repro.platforms.scaleout import ScaleOutResult, run_scaleout
 from repro.sim.stats import StageRecord
 from repro.workloads import workload_by_name
 
@@ -87,6 +93,11 @@ def test_payload_survives_json_unchanged(prepared, platform, variant):
     result = run_platform(platform, prepared, **PARAMS, **VARIANTS[variant])
     payload = result_to_payload(result)
     assert_type_exact(payload, json.loads(json.dumps(payload)))
+    # decoding normalizes integer meters to floats, and nothing else
+    decoded = RunResult.from_dict(payload["result"]).to_dict()
+    meters = {k: float(v) for k, v in payload["result"]["meters"].items()}
+    assert_type_exact(decoded, {**payload["result"], "meters": meters})
+    assert_type_exact(RunResult.from_dict(decoded).to_dict(), decoded)
     # every optional block is really present in its variant
     block = {
         "page_cache": "cache",
@@ -95,6 +106,16 @@ def test_payload_survives_json_unchanged(prepared, platform, variant):
     }.get(variant, "background_io" if variant.startswith("background") else None)
     if block is not None:
         assert payload["result"][block] is not None
+
+
+def test_decoded_scaleout_document_re_encodes_unchanged(prepared):
+    result = run_scaleout(
+        2, "bg2", prepared, batch_size=8, num_batches=1, num_hops=2, fanout=2
+    )
+    doc = json.loads(json.dumps(result.to_dict()))
+    decoded = ScaleOutResult.from_dict(doc)
+    assert all(isinstance(r, RunResult) for r in decoded.per_device)
+    assert_type_exact(decoded.to_dict(), doc)
 
 
 def test_stage_records_emit_every_field_in_order(prepared):

@@ -12,6 +12,8 @@ first) inherits the whole contract for free:
 * grid cache keys are stable under re-construction and sensitive to the
   seed;
 * back-to-back runs are bit-identical;
+* a finished cell holds no reference cycles, so dropping it frees the
+  whole run by reference counting;
 * the page cache never changes *what* gets sampled (migrated here from
   the hard-coded two-platform loop in ``test_cache_datapath.py``).
 
@@ -19,25 +21,31 @@ The registry's lookup contract (error message, aliases, explicit
 orderings) is pinned at the bottom.
 """
 
+import collections
+import gc
 import hashlib
 import json
+import sys
 
 import numpy as np
 import pytest
 
 from repro.cache import CacheConfig
-from repro.orchestrate import GridCell
+from repro.orchestrate import GridCell, adopt_prepared
+from repro.orchestrate.batched import execute_batch
 from repro.orchestrate.cache import json_default
 from repro.orchestrate.grid import cell_cache_key
 from repro.orchestrate.serialize import result_from_payload, result_to_payload
 from repro.platforms import (
     PLATFORMS,
+    PlatformRun,
     PreparedWorkload,
     ordered_platforms,
     platform_by_name,
     platform_names,
     run_platform,
 )
+from repro.platforms.background import BackgroundIoConfig
 from repro.platforms.result import pack_trace
 from repro.workloads import workload_by_name
 
@@ -216,6 +224,86 @@ class TestRepeatability:
     def test_back_to_back_runs_are_bit_identical(self, prepared, results, name):
         again = run_platform(name, prepared, **PARAMS, sample_trace=True)
         assert payload_blob(again) == payload_blob(results[name])
+
+
+GARBAGE_VARIANTS = {
+    "default": {},
+    "page_cache": {"page_cache": CacheConfig(capacity_mb=0.25)},
+    "sample_trace": {"sample_trace": True},
+    "background_io_deferred": {
+        "background_io": BackgroundIoConfig(rate_per_s=200_000, deferred=True)
+    },
+    "background_io_direct": {
+        "background_io": BackgroundIoConfig(rate_per_s=200_000, deferred=False)
+    },
+}
+GARBAGE_CASES = [(name, "default") for name in platform_names()] + [
+    ("bg2", variant) for variant in GARBAGE_VARIANTS if variant != "default"
+]
+
+
+def cyclic_garbage(make_payload):
+    """Run ``make_payload`` with the collector off; count what only it frees.
+
+    Returns the payload and, by type name, the objects a full collection
+    finds unreachable once everything but the payload is dropped (saved
+    for counting, not freed, under ``DEBUG_SAVEALL``). The collector's
+    state is restored whatever happens.
+    """
+    enabled = gc.isenabled()
+    debug = gc.get_debug()
+    saved = gc.garbage[:]
+    gc.collect()
+    gc.garbage.clear()
+    gc.disable()
+    try:
+        payload = make_payload()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        left = collections.Counter(type(obj).__name__ for obj in gc.garbage)
+    finally:
+        gc.set_debug(debug)
+        gc.garbage[:] = saved
+        if enabled:
+            gc.enable()
+    return payload, left
+
+
+@pytest.mark.skipif(
+    sys.implementation.name != "cpython",
+    reason="freeing by reference counting is CPython's behaviour",
+)
+class TestFinishedCellIsFreedByRefcount:
+    """A finished cell holds no reference cycles.
+
+    Otherwise its whole device (128 dies, their resources and trackers),
+    engine and kernel stay in memory after the cell is dropped, until a
+    full collection walks them.
+    """
+
+    @pytest.mark.parametrize("name,variant", GARBAGE_CASES)
+    def test_platform_run_leaves_no_cyclic_garbage(self, prepared, name, variant):
+        def cell():
+            run = PlatformRun(name, prepared, **PARAMS, **GARBAGE_VARIANTS[variant])
+            return result_to_payload(run.run())
+
+        payload, left = cyclic_garbage(cell)
+        assert payload["result"]["platform"] == name
+        assert not left, dict(left)
+
+    @pytest.mark.parametrize("name,variant", GARBAGE_CASES)
+    def test_execute_batch_leaves_no_cyclic_garbage(self, prepared, name, variant):
+        adopt_prepared(prepared)  # the image comes from the memo, not a build
+        cell = GridCell(
+            platform=name,
+            workload=WORKLOAD,
+            scaled_nodes=NODES,
+            **PARAMS,
+            **GARBAGE_VARIANTS[variant],
+        )
+        payloads, left = cyclic_garbage(lambda: execute_batch([(cell, 0, None)]))
+        assert payloads[0]["result"]["platform"] == name
+        assert not left, dict(left)
 
 
 class TestCacheInvariance:
