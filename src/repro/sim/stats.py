@@ -94,9 +94,9 @@ class PackedTrackers(Sequence[BusyTracker]):
     end)`` rows, tracker by tracker. It behaves like the list of
     :class:`BusyTracker` it stands for — ``len``, negative indices,
     slices (which return lists), truthiness and iteration work — and
-    every tracker it yields is a fresh view. :meth:`busy_times` and
-    :func:`active_count_series` read the rows in the order the trackers
-    would, so they add up bit for bit as on the trackers.
+    every tracker it yields is a fresh view. :meth:`busy_times` reads the
+    rows in the order the trackers would, so it adds up bit for bit as
+    on the trackers.
     """
 
     __slots__ = ("names", "offsets", "spans")
@@ -179,23 +179,18 @@ def active_count_series(
         return [], []
     width = (t1 - t0) / bins
     busy = [0.0] * bins
-    # tracker by tracker, interval by interval: the packed rows are in
-    # exactly that order
-    if isinstance(trackers, PackedTrackers):
-        intervals = trackers.spans.tolist()
-    else:
-        intervals = [iv for tracker in trackers for iv in tracker.intervals]
-    for s, e in intervals:
-        s = max(s, t0)
-        e = min(e, t1)
-        if e <= s:
-            continue
-        first = int((s - t0) / width)
-        last = min(int((e - t0) / width), bins - 1)
-        for b in range(first, last + 1):
-            lo = t0 + b * width
-            hi = lo + width
-            busy[b] += max(0.0, min(e, hi) - max(s, lo))
+    for tracker in trackers:
+        for s, e in tracker.intervals:
+            s = max(s, t0)
+            e = min(e, t1)
+            if e <= s:
+                continue
+            first = int((s - t0) / width)
+            last = min(int((e - t0) / width), bins - 1)
+            for b in range(first, last + 1):
+                lo = t0 + b * width
+                hi = lo + width
+                busy[b] += max(0.0, min(e, hi) - max(s, lo))
     centers = [t0 + (b + 0.5) * width for b in range(bins)]
     return centers, [v / width for v in busy]
 
