@@ -12,7 +12,6 @@ Subcommands
 ``info``     print the Table II configuration and platform list
 ``cache``    result/image-cache maintenance (``stats`` / ``clear`` / ``prune``)
 ``perf``     microbenchmark suites (BENCH_kernel/_prepare/_cache/_partition)
-``worker``   remote grid worker daemon (dials a ``--executor remote`` run)
 
 ``run``/``compare``/``sweep``/``scaleout`` all go through
 :func:`repro.orchestrate.run_grid`:
@@ -23,18 +22,14 @@ opts out. Serialized DirectGraph images are shared through a second
 content-addressed cache (``--image-cache-dir``, default
 ``<cache-dir>/images``; ``--no-image-cache`` opts out), so each distinct
 workload is built at most once across grids. ``--executor`` picks the
-grid backend (``serial`` / ``process`` / ``remote``); ``remote`` turns
-the command into a coordinator that feeds ``repro worker`` daemons
-(``--coordinator`` binds the address, ``--workers`` sets the
-registration barrier or spawns loopback workers). Parallel, cached, and
-distributed runs are all bit-identical to serial cold runs.
+grid backend (``serial`` in this process, or the ``process`` pool).
+Parallel and cached runs are bit-identical to serial cold runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from contextlib import contextmanager
 from typing import List, Optional
 
 from .bench import format_table
@@ -245,41 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="prune: evict oldest entries until each cache fits in this size",
     )
 
-    worker = sub.add_parser(
-        "worker", help="remote grid worker daemon (see --executor remote)"
-    )
-    worker.add_argument(
-        "--coordinator",
-        required=True,
-        help="coordinator address HOST:PORT to dial",
-    )
-    worker.add_argument(
-        "--retry-s",
-        type=float,
-        default=1.0,
-        help="seconds between reconnection attempts",
-    )
-    worker.add_argument(
-        "--max-wait-s",
-        type=float,
-        default=None,
-        help="give up if no coordinator is reachable for this long "
-        "(default: keep dialing forever)",
-    )
-    worker.add_argument(
-        "--once",
-        action="store_true",
-        help="exit after serving one coordinator connection",
-    )
-    worker.add_argument(
-        "--image-cache-dir",
-        default=None,
-        help="local DirectGraph image cache overriding the one chunks name",
-    )
-    worker.add_argument(
-        "--quiet", action="store_true", help="suppress lifecycle messages"
-    )
-
     perf = sub.add_parser("perf", help="microbenchmark suites")
     perf.add_argument(
         "--suite",
@@ -391,30 +351,22 @@ def _infra_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--executor",
-        choices=["serial", "process", "remote"],
+        choices=["serial", "process"],
         default=None,
-        help="grid backend (default: process pool, or REPRO_EXECUTOR); "
-        "'remote' coordinates repro worker daemons over TCP",
-    )
-    parser.add_argument(
-        "--workers",
-        default=None,
-        help="remote executor: wait for N registered workers, or "
-        "'spawn:N' to fork N loopback workers for this run",
-    )
-    parser.add_argument(
-        "--coordinator",
-        default=None,
-        help="remote executor: bind address HOST:PORT "
-        "(default 127.0.0.1 on an ephemeral port)",
+        help="grid backend (default: process pool, or REPRO_EXECUTOR)",
     )
 
 
 def _jobs_arg(value: str) -> Optional[int]:
     """``--jobs`` parser: 'auto' or 0 mean affinity-aware auto-detect."""
-    if value.strip().lower() == "auto":
+    text = value.strip().lower()
+    if text == "auto":
         return None
-    jobs = int(value)
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"expected 'auto' or a non-negative integer, got {value!r}"
+        )
+    jobs = int(text)
     return None if jobs == 0 else jobs
 
 
@@ -434,44 +386,6 @@ def _image_cache(args):
         return False
     # None lets run_grid derive <result-cache>/images (off when uncached).
     return getattr(args, "image_cache_dir", None)
-
-
-@contextmanager
-def _executor_scope(args):
-    """Yield ``run_grid``'s ``executor=`` value from the CLI flags.
-
-    ``serial``/``process``/unset pass through by name (``run_grid``
-    resolves them, honouring ``REPRO_EXECUTOR`` when unset). ``remote``
-    builds a coordinator from ``--coordinator``/``--workers`` and tears
-    it down — socket and any spawned loopback workers — when the
-    command finishes.
-    """
-    name = getattr(args, "executor", None)
-    if name != "remote":
-        yield name
-        return
-    from .orchestrate.remote import RemoteExecutor, parse_address
-
-    host, port = "127.0.0.1", None
-    coordinator = getattr(args, "coordinator", None)
-    if coordinator:
-        host, port = parse_address(coordinator)
-    min_workers, spawn = 1, 0
-    workers = getattr(args, "workers", None)
-    if workers:
-        text = str(workers).strip().lower()
-        if text.startswith("spawn:"):
-            spawn = int(text.split(":", 1)[1])
-            min_workers = max(1, spawn)
-        else:
-            min_workers = int(text)
-    executor = RemoteExecutor(
-        host, port, min_workers=min_workers, spawn_workers=spawn
-    )
-    try:
-        yield executor
-    finally:
-        executor.close()
 
 
 def _cell(args, platform: str, workload: str, ssd_config=None, **overrides) -> GridCell:
@@ -505,14 +419,13 @@ def _grid_summary(outcome) -> str:
 
 def cmd_run(args) -> int:
     cell = _cell(args, platform_by_name(args.platform).name, args.workload)
-    with _executor_scope(args) as executor:
-        outcome = run_grid(
-            [cell],
-            jobs=args.jobs,
-            cache=_result_cache(args),
-            image_cache=_image_cache(args),
-            executor=executor,
-        )
+    outcome = run_grid(
+        [cell],
+        jobs=args.jobs,
+        cache=_result_cache(args),
+        image_cache=_image_cache(args),
+        executor=args.executor,
+    )
     result = outcome.results[0]
     rows = [
         ("throughput (targets/s)", f"{result.throughput_targets_per_sec:,.0f}"),
@@ -537,14 +450,13 @@ def cmd_run(args) -> int:
 
 def cmd_compare(args) -> int:
     cells = [_cell(args, name, args.workload) for name in PLATFORMS]
-    with _executor_scope(args) as executor:
-        outcome = run_grid(
-            cells,
-            jobs=args.jobs,
-            cache=_result_cache(args),
-            image_cache=_image_cache(args),
-            executor=executor,
-        )
+    outcome = run_grid(
+        cells,
+        jobs=args.jobs,
+        cache=_result_cache(args),
+        image_cache=_image_cache(args),
+        executor=args.executor,
+    )
     rows = []
     base = None
     for name, result in zip(PLATFORMS, outcome.results):
@@ -591,14 +503,13 @@ def cmd_sweep(args) -> int:
         for _label, config, extra in variants
         for platform in platforms
     ]
-    with _executor_scope(args) as executor:
-        outcome = run_grid(
-            cells,
-            jobs=args.jobs,
-            cache=_result_cache(args),
-            image_cache=_image_cache(args),
-            executor=executor,
-        )
+    outcome = run_grid(
+        cells,
+        jobs=args.jobs,
+        cache=_result_cache(args),
+        image_cache=_image_cache(args),
+        executor=args.executor,
+    )
     results = iter(outcome.results)
     rows = []
     for label, _config, _extra in variants:
@@ -628,33 +539,32 @@ def cmd_scaleout(args) -> int:
     cache = _result_cache(args)
     image_cache = _image_cache(args)
     outcomes = []
-    with _executor_scope(args) as executor:
-        for devices in device_counts:
-            try:
-                outcomes.append(
-                    scaleout_outcome(
-                        devices,
-                        args.platform,
-                        spec,
-                        batch_size=args.batch,
-                        num_batches=args.batches,
-                        num_hops=args.hops,
-                        fanout=args.fanout,
-                        cross_partition_fraction=args.fraction,
-                        ssd_config=_config(args),
-                        seed=args.seed,
-                        jobs=args.jobs,
-                        cache=cache,
-                        image_cache=image_cache,
-                        require_cached=args.from_cache,
-                        partitioner=args.partitioner,
-                        layout=args.layout,
-                        executor=executor,
-                    )
+    for devices in device_counts:
+        try:
+            outcomes.append(
+                scaleout_outcome(
+                    devices,
+                    args.platform,
+                    spec,
+                    batch_size=args.batch,
+                    num_batches=args.batches,
+                    num_hops=args.hops,
+                    fanout=args.fanout,
+                    cross_partition_fraction=args.fraction,
+                    ssd_config=_config(args),
+                    seed=args.seed,
+                    jobs=args.jobs,
+                    cache=cache,
+                    image_cache=image_cache,
+                    require_cached=args.from_cache,
+                    partitioner=args.partitioner,
+                    layout=args.layout,
+                    executor=args.executor,
                 )
-            except KeyError as err:
-                print(err.args[0])
-                return 2
+            )
+        except KeyError as err:
+            print(err.args[0])
+            return 2
     single = outcomes[0].result
     rows = []
     for outcome in outcomes:
@@ -730,37 +640,36 @@ def cmd_serve(args) -> int:
     if spec.num_nodes > args.nodes:
         spec = spec.scaled(args.nodes)
     try:
-        with _executor_scope(args) as executor:
-            sweep = sweep_serving(
-                platform_by_name(args.platform).name,
-                spec,
-                qps_grid,
-                executor=executor,
-                arrival_kind=args.arrival,
-                on_s=args.on_ms / 1e3,
-                off_s=args.off_ms / 1e3,
-                num_queries=args.queries,
-                query_batch_size=args.query_batch,
-                max_batch=args.max_batch,
-                batch_timeout_s=args.batch_timeout_us / 1e6,
-                queue_depth=args.queue_depth,
-                max_live=args.max_live,
-                num_hops=args.hops,
-                fanout=args.fanout,
-                ssd_config=_config(args),
-                seed=args.seed,
-                jobs=args.jobs,
-                cache=_result_cache(args),
-                image_cache=_image_cache(args),
-                require_cached=args.from_cache,
-                page_cache=(
-                    CacheConfig(
-                        capacity_mb=args.cache_mb, policy=args.cache_policy
-                    )
-                    if args.cache_mb > 0
-                    else None
-                ),
-            )
+        sweep = sweep_serving(
+            platform_by_name(args.platform).name,
+            spec,
+            qps_grid,
+            executor=args.executor,
+            arrival_kind=args.arrival,
+            on_s=args.on_ms / 1e3,
+            off_s=args.off_ms / 1e3,
+            num_queries=args.queries,
+            query_batch_size=args.query_batch,
+            max_batch=args.max_batch,
+            batch_timeout_s=args.batch_timeout_us / 1e6,
+            queue_depth=args.queue_depth,
+            max_live=args.max_live,
+            num_hops=args.hops,
+            fanout=args.fanout,
+            ssd_config=_config(args),
+            seed=args.seed,
+            jobs=args.jobs,
+            cache=_result_cache(args),
+            image_cache=_image_cache(args),
+            require_cached=args.from_cache,
+            page_cache=(
+                CacheConfig(
+                    capacity_mb=args.cache_mb, policy=args.cache_policy
+                )
+                if args.cache_mb > 0
+                else None
+            ),
+        )
     except KeyError as err:
         print(err.args[0])
         return 2
@@ -821,26 +730,25 @@ def cmd_cache_ablation(args) -> int:
     from .cache import sweep_cache
 
     try:
-        with _executor_scope(args) as executor:
-            outcome = sweep_cache(
-                platform_by_name(args.platform).name,
-                args.workload,
-                capacities_mb=[float(v) for v in args.sizes_mb.split(",")],
-                policies=[p.strip() for p in args.policies.split(",")],
-                hit_latency_s=args.hit_latency_ns / 1e9,
-                batch_size=args.batch,
-                num_batches=args.batches,
-                num_hops=args.hops,
-                fanout=args.fanout,
-                ssd_config=_config(args),
-                seed=args.seed,
-                scaled_nodes=args.nodes,
-                jobs=args.jobs,
-                cache=_result_cache(args),
-                image_cache=_image_cache(args),
-                require_cached=args.from_cache,
-                executor=executor,
-            )
+        outcome = sweep_cache(
+            platform_by_name(args.platform).name,
+            args.workload,
+            capacities_mb=[float(v) for v in args.sizes_mb.split(",")],
+            policies=[p.strip() for p in args.policies.split(",")],
+            hit_latency_s=args.hit_latency_ns / 1e9,
+            batch_size=args.batch,
+            num_batches=args.batches,
+            num_hops=args.hops,
+            fanout=args.fanout,
+            ssd_config=_config(args),
+            seed=args.seed,
+            scaled_nodes=args.nodes,
+            jobs=args.jobs,
+            cache=_result_cache(args),
+            image_cache=_image_cache(args),
+            require_cached=args.from_cache,
+            executor=args.executor,
+        )
     except KeyError as err:
         print(err.args[0])
         return 2
@@ -920,19 +828,6 @@ def cmd_cache(args) -> int:
         print(f"image dir: {images.root}")
         print(f"images:    {istats.entries} ({istats.total_mb:.2f} MB)")
     return 0
-
-
-def cmd_worker(args) -> int:
-    from .orchestrate.worker import run_worker
-
-    return run_worker(
-        args.coordinator,
-        retry_s=args.retry_s,
-        max_wait_s=args.max_wait_s,
-        once=args.once,
-        image_cache_root=args.image_cache_dir,
-        quiet=args.quiet,
-    )
 
 
 def cmd_perf(args) -> int:
@@ -1062,7 +957,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "info": cmd_info,
         "cache": cmd_cache,
         "perf": cmd_perf,
-        "worker": cmd_worker,
     }
     return handlers[args.command](args)
 

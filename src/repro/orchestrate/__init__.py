@@ -2,9 +2,9 @@
 
 The fan-out layer over ``repro.platforms.run_platform``: build a grid of
 :class:`GridCell`\\ s, hand it to :func:`run_grid`, and get bit-identical
-results whether the grid runs on one process, eight, or a pool of
-``repro worker`` daemons across machines (``executor="remote"``), cold
-or from the on-disk :class:`ResultCache`.
+results whether the grid runs in this process (``executor="serial"``)
+or on a local process pool (``"process"``), cold or from the on-disk
+:class:`ResultCache`.
 """
 
 from .batched import (

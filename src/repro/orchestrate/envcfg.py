@@ -12,7 +12,7 @@ import os
 import sys
 from typing import Optional, Sequence, Set, Tuple
 
-__all__ = ["env_float", "env_choice", "env_int", "warn_once", "reset_warnings"]
+__all__ = ["env_float", "env_choice", "warn_once", "reset_warnings"]
 
 # (variable, raw value) pairs already warned about; one line per mistake,
 # not one per run_grid call.
@@ -55,32 +55,6 @@ def env_float(
             name,
             raw,
             f"ignoring {name}={raw!r} (not a number); using default {default!r}",
-        )
-        return default
-    if minimum is not None and value < minimum:
-        warn_once(
-            name,
-            raw,
-            f"ignoring {name}={raw!r} (must be >= {minimum!r}); "
-            f"using default {default!r}",
-        )
-        return default
-    return value
-
-
-def env_int(name: str, default: int, *, minimum: Optional[int] = None) -> int:
-    """Integer twin of :func:`env_float`."""
-    raw = os.environ.get(name, "")
-    if not raw.strip():
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        warn_once(
-            name,
-            raw,
-            f"ignoring {name}={raw!r} (not an integer); "
-            f"using default {default!r}",
         )
         return default
     if minimum is not None and value < minimum:

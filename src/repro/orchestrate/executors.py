@@ -1,31 +1,27 @@
-"""Pluggable grid executor backends behind one ``GridExecutor`` protocol.
+"""Grid executor backends behind one ``GridExecutor`` protocol.
 
 :func:`~repro.orchestrate.grid.run_grid` decides *what* to simulate
 (pending cells, derived seeds, cache keys); an executor decides *where*
-the simulations run. Three backends ship:
+the simulations run. Two backends ship:
 
 * ``serial`` — everything in the calling process through the
   cooperative batched executor (the zero-dispatch floor; also the
   bit-identity reference);
 * ``process`` — the default: a local ``ProcessPoolExecutor`` fan-out of
-  auto-sized chunks, each run by the same batched executor;
-* ``remote`` — a TCP coordinator feeding ``repro worker`` daemons over
-  the length-prefixed JSON protocol in :mod:`repro.orchestrate.wire`
-  (see :mod:`repro.orchestrate.remote`).
+  auto-sized chunks, each run by the same batched executor.
 
-Every backend consumes the same ``(cell, seed, image_cache_root)`` job
-tuples, simulates them through
-:func:`~repro.orchestrate.batched.execute_batch`, and returns payload
-dicts in job order. Determinism is the protocol's core contract:
-per-cell seeds are fixed *before* dispatch, a cell's simulation depends
-only on (cell, seed), and payloads are plain JSON values by construction
-(see :mod:`repro.orchestrate.serialize`), so pickling them back from a
-pool worker or encoding them over the wire changes nothing — every
-backend is bit-identical to ``serial``.
+Both consume the same ``(cell, seed, image_cache_root)`` job tuples,
+simulate them through :func:`~repro.orchestrate.batched.execute_batch`,
+and return payload dicts in job order. Determinism is the protocol's
+core contract: per-cell seeds are fixed *before* dispatch, a cell's
+simulation depends only on (cell, seed), and payloads are plain JSON
+values by construction (see :mod:`repro.orchestrate.serialize`), so
+pickling them back from a pool worker changes nothing — ``process`` is
+bit-identical to ``serial``.
 
 The registry is string-keyed so sweeps and the CLI can select a backend
-by name (``executor="remote"`` / ``--executor remote`` /
-``REPRO_EXECUTOR=remote``); an invalid environment value warns once and
+by name (``executor="serial"`` / ``--executor serial`` /
+``REPRO_EXECUTOR=serial``); an invalid environment value warns once and
 falls back to the default rather than crashing or silently serializing.
 """
 
@@ -57,31 +53,13 @@ class GridExecutor:
 
     ``jobs`` is the caller's requested parallelism; backends are free to
     interpret it as a capacity hint, never as anything that may change
-    results. ``cache`` (a
-    :class:`~repro.orchestrate.cache.ResultCache` or None) is the shared
-    content-addressed store — distributed backends forward its location
-    so warm workers can skip already-simulated cells.
+    results.
     """
 
     name = "abstract"
 
-    def run(
-        self,
-        jobs_args: Sequence[Job],
-        *,
-        jobs: int = 1,
-        cache=None,
-    ) -> List[Dict]:
+    def run(self, jobs_args: Sequence[Job], *, jobs: int = 1) -> List[Dict]:
         raise NotImplementedError
-
-    def close(self) -> None:
-        """Release backend resources (no-op for local backends)."""
-
-    def __enter__(self) -> "GridExecutor":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
 
 class SerialExecutor(GridExecutor):
@@ -89,13 +67,7 @@ class SerialExecutor(GridExecutor):
 
     name = "serial"
 
-    def run(
-        self,
-        jobs_args: Sequence[Job],
-        *,
-        jobs: int = 1,
-        cache=None,
-    ) -> List[Dict]:
+    def run(self, jobs_args: Sequence[Job], *, jobs: int = 1) -> List[Dict]:
         from .batched import execute_batch
 
         return execute_batch(jobs_args)
@@ -118,13 +90,7 @@ class ProcessExecutor(GridExecutor):
 
     name = "process"
 
-    def run(
-        self,
-        jobs_args: Sequence[Job],
-        *,
-        jobs: int = 1,
-        cache=None,
-    ) -> List[Dict]:
+    def run(self, jobs_args: Sequence[Job], *, jobs: int = 1) -> List[Dict]:
         from .batched import (
             _execute_chunk,
             auto_chunk_size,
@@ -150,16 +116,9 @@ class ProcessExecutor(GridExecutor):
         return execute_batch(jobs_args)
 
 
-def _remote_factory() -> GridExecutor:
-    from .remote import RemoteExecutor
-
-    return RemoteExecutor()
-
-
 _EXECUTORS: Dict[str, Callable[[], GridExecutor]] = {
     "serial": SerialExecutor,
     "process": ProcessExecutor,
-    "remote": _remote_factory,
 }
 
 

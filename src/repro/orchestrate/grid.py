@@ -309,7 +309,7 @@ def run_grid(
     encoded once, by :meth:`ResultCache.put`.
 
     ``executor`` picks the backend that actually runs pending cells: a
-    registered name (``"serial"``, ``"process"``, ``"remote"``), a
+    registered name (``"serial"`` or ``"process"``), a
     :class:`~repro.orchestrate.executors.GridExecutor` instance, or
     ``None`` to consult ``REPRO_EXECUTOR`` and default to the local
     process pool. Every backend simulates through
@@ -370,11 +370,7 @@ def run_grid(
                 _prepared_for(spec, page_size, icache_root, cell.layout)
 
     jobs_args = [(cells[i], seeds[i], icache_root) for i in pending]
-    fresh = (
-        grid_executor.run(jobs_args, jobs=jobs, cache=cache)
-        if jobs_args
-        else []
-    )
+    fresh = grid_executor.run(jobs_args, jobs=jobs) if jobs_args else []
     if len(fresh) != len(jobs_args):
         raise RuntimeError(
             f"executor {grid_executor.name!r} returned {len(fresh)} payloads "

@@ -3,9 +3,9 @@
 A cell payload (:func:`result_to_payload`) is plain JSON by construction
 — :meth:`RunResult.to_dict` builds ``dict``/``list``/``str``/``int``/
 ``float``/``bool``/``None`` values directly — and is encoded only where
-bytes are written: :meth:`ResultCache.put`, the ``remote`` wire codec,
-``process`` pool pickling. ``tests/test_payload_plain.py`` pins it type
-for type against its own JSON round trip. The scale-out, serving and
+bytes are written: :meth:`ResultCache.put` and ``process`` pool
+pickling. ``tests/test_payload_plain.py`` pins it type for type against
+its own JSON round trip. The scale-out, serving and
 cache-ablation envelopes run once per document and still normalize
 through a JSON round trip.
 """

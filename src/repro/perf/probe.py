@@ -138,7 +138,6 @@ class KernelProbe:
             sim = self.sim
             self.counters.seq_end = sim._seq
             for name in (
-                "_dispatch",
                 "timeout",
                 "_call_soon",
                 "_call_soon_with",

@@ -30,9 +30,9 @@ the single-heap kernel (asserted by the golden-order and
 payload-identity regression tests).
 
 Besides the blocking :meth:`Simulator.run`, the kernel is resumable:
-:meth:`Simulator.step` delivers a bounded number of entries and returns,
-and :meth:`Simulator.run_until_idle` loops ``step`` to completion. A
-simulation driven by any interleaving of ``step`` slices delivers in
+:meth:`Simulator.step` delivers a bounded number of entries and returns.
+Both are thin wrappers over one delivery loop, so a simulation driven by
+any interleaving of ``step`` slices and ``run`` calls delivers in
 exactly the order one ``run()`` call would — the batched grid executor
 (:mod:`repro.orchestrate.batched`) relies on this to host many live
 kernels in one process.
@@ -85,11 +85,16 @@ __all__ = [
 _getrefcount = (
     sys.getrefcount if sys.implementation.name == "cpython" else None
 )
-# Expected refcount of a poolable event at the recycle check: the run()
-# local + getrefcount's own argument. Calibrated by the kernel test
-# suite; a miscalibration disables pooling, it cannot corrupt state.
+# Expected refcount of a poolable event at the recycle check: the
+# delivery loop's local + getrefcount's own argument. Calibrated by the
+# kernel test suite; a miscalibration disables pooling, it cannot
+# corrupt state.
 _POOL_REFS = 2
 _POOL_MAX = 128
+# A budget and a horizon the delivery loop never reaches: run() has no
+# budget, and step() (or run() without ``until``) no horizon.
+_UNBOUNDED = sys.maxsize
+_NO_HORIZON = float("inf")
 
 # Single-name aliases: one global lookup on the hot path instead of a
 # module attribute lookup per scheduled entry.
@@ -141,9 +146,9 @@ class Event:
             raise SimulationError("event triggered twice")
         self._triggered = True
         self._value = value
-        # inlined Simulator._dispatch — this is the hottest kernel call.
-        # The fast lane takes the bare event: no entry tuple, and no
-        # sequence number either (fast entries are counted at delivery).
+        # The hottest kernel call. The fast lane takes the bare event: no
+        # entry tuple, and no sequence number either (fast entries are
+        # counted at delivery).
         self.sim._fast_append(self)
         return self
 
@@ -223,8 +228,8 @@ class Process(Event):
     def _wait_on(self, target: Any) -> None:
         """Register this process on the event it just yielded.
 
-        The process object *itself* is the callback entry: ``run()``
-        recognises it by type and resumes the generator inline (no
+        The process object *itself* is the callback entry: the delivery
+        loop recognises it by type and resumes the generator inline (no
         Python frame per resume), while every other path goes through
         :meth:`__call__` below.
         """
@@ -246,8 +251,8 @@ class Process(Event):
     def _on_event(self, event: Event, _isinstance=isinstance, _Event=Event) -> None:
         # The per-resume hot path: _resume with the generator send inlined
         # (one Python call instead of two per delivered event) and name
-        # lookups bound at definition time. run() inlines a copy of this
-        # body for fast-lane deliveries — keep the two in sync.
+        # lookups bound at definition time. Simulator._deliver inlines a
+        # copy of this body for single-waiter deliveries.
         exc = event._exc
         if exc is not None:
             self._resume(None, exc)
@@ -423,10 +428,6 @@ class Simulator:
             self._seq = seq = self._seq + 1
             _heappush(self._queue, (at, seq, event, None))
 
-    def _dispatch(self, event: Event) -> None:
-        """Queue a just-triggered event for callback delivery."""
-        self._fast_append(event)
-
     def _call_soon(self, fn: Callable[[], None], delay: float = 0.0) -> None:
         now = self.now
         at = now + delay
@@ -506,7 +507,46 @@ class Simulator:
         return not (self._fast or self._queue)
 
     def run(self, until: Optional[float] = None) -> None:
-        """Run until both lanes drain or simulated time reaches ``until``."""
+        """Run until both lanes drain or simulated time reaches ``until``.
+
+        With a horizon, every entry due at or before ``until`` is
+        delivered (with the zero-delay work it spawns), and the clock
+        then parks at ``until``; later entries stay queued for the next
+        ``run`` or ``step``. A horizon behind the clock raises
+        ``ValueError`` and leaves the clock where it was.
+        """
+        if until is None:
+            self._deliver(_UNBOUNDED, _NO_HORIZON)
+        else:
+            self._deliver(_UNBOUNDED, until)
+            self.now = until
+
+    def step(self, max_events: int = 1) -> int:
+        """Deliver at most ``max_events`` queue entries, then return.
+
+        The resumable form of :meth:`run`: both drive the same delivery
+        loop, and each slice picks up precisely where the previous one
+        stopped, so any sequence of ``step`` slices delivers in exactly
+        the order a single ``run()`` call would. Returns the number of
+        entries delivered; ``0`` means the simulation is idle.
+        Fast-lane callback pairs and heap callback entries count toward
+        the budget like ordinary event deliveries, so a slice always
+        terminates.
+        """
+        if max_events < 1:
+            raise ValueError(f"max_events must be >= 1: {max_events}")
+        return self._deliver(max_events, _NO_HORIZON)
+
+    def _deliver(self, max_events: int, until: float) -> int:
+        """The delivery loop: at most ``max_events`` entries due by ``until``.
+
+        Returns the number of entries delivered. The horizon is checked
+        only before a heap pop, the one place the clock advances; the
+        clock never passes ``until``, so fast-lane entries are always due.
+        """
+        now = self.now
+        if not until >= now:  # also rejects a NaN horizon
+            raise ValueError(f"run(until={until!r}) is before now={now!r}")
         fast = self._fast
         queue = self._queue
         popleft = fast.popleft
@@ -522,24 +562,19 @@ class Simulator:
         t_process = Process
         _len = len
         _isinstance = isinstance
-        check = until is not None
-        now = self.now
+        delivered = 0
         # Fast-lane entries carry no sequence number; they are tallied
         # here at delivery and flushed into ``_seq`` on every exit so the
         # op count (``_seq`` delta) still covers both lanes.
         ops = 0
         try:
-            while True:
+            while delivered < max_events:
                 if fast:
-                    if check and now > until:
-                        # mirrors the single-heap kernel: pending work
-                        # beyond the horizon parks the clock at ``until``
-                        self.now = until
-                        return
                     if queue and queue[0][0] == now:
                         # a heap entry landing on the current timestamp was
                         # pushed before time advanced here, so it precedes
                         # every fast entry (see class docstring)
+                        delivered += 1
                         _at, _seq, event, fn = heappop(queue)
                         if fn is not None:
                             if event is None:
@@ -549,6 +584,7 @@ class Simulator:
                             continue
                     else:
                         ops += 1
+                        delivered += 1
                         event = popleft()
                         if type(event) is tuple:
                             # pair form: always an fn entry. Rebinding
@@ -561,9 +597,9 @@ class Simulator:
                                 fn(event)
                             continue
                 elif queue:
-                    if check and queue[0][0] > until:
-                        self.now = until
-                        return
+                    if queue[0][0] > until:
+                        break
+                    delivered += 1
                     at, _seq, event, fn = heappop(queue)
                     if at < now:
                         raise SimulationError("time went backwards")
@@ -591,8 +627,7 @@ class Simulator:
                             # inlined copy of Process._on_event: resuming
                             # the waiting generator without pushing a
                             # Python frame is the single biggest per-op
-                            # saving in the loop. Keep in sync with
-                            # Process._on_event.
+                            # saving in the loop.
                             exc = event._exc
                             if exc is not None:
                                 cb._resume(None, exc)
@@ -668,164 +703,4 @@ class Simulator:
                     raise event._exc
         finally:
             self._seq += ops
-        if check:
-            self.now = max(self.now, until)
-
-    def step(self, max_events: int = 1) -> int:
-        """Deliver at most ``max_events`` queue entries, then return.
-
-        The resumable form of :meth:`run`: driving a simulation through
-        any sequence of ``step`` slices delivers in exactly the order a
-        single ``run()`` call would (each slice picks up precisely where
-        the previous one stopped, and per-entry handling below is an
-        inlined copy of the ``run`` loop body — keep the two in sync).
-        Returns the number of entries delivered; ``0`` means the
-        simulation is idle. Fast-lane callback pairs and heap callback
-        entries count toward the budget like ordinary event deliveries,
-        so a slice always terminates.
-        """
-        if max_events < 1:
-            raise ValueError(f"max_events must be >= 1: {max_events}")
-        fast = self._fast
-        queue = self._queue
-        popleft = fast.popleft
-        heappop = _heappop
-        timeout_pool = self._timeout_pool
-        event_pool = self._event_pool
-        process_pool = self._process_pool
-        getref = _getrefcount
-        pool_max = _POOL_MAX
-        pool_refs = _POOL_REFS
-        t_timeout = Timeout
-        t_event = Event
-        t_process = Process
-        _len = len
-        _isinstance = isinstance
-        now = self.now
-        delivered = 0
-        ops = 0
-        try:
-            while delivered < max_events:
-                if fast:
-                    if queue and queue[0][0] == now:
-                        # heap entry at the current timestamp: predates
-                        # every fast entry (see class docstring)
-                        delivered += 1
-                        _at, _seq, event, fn = heappop(queue)
-                        if fn is not None:
-                            if event is None:
-                                fn()
-                            else:
-                                fn(event)
-                            continue
-                    else:
-                        ops += 1
-                        delivered += 1
-                        event = popleft()
-                        if type(event) is tuple:
-                            event, fn = event
-                            if event is None:
-                                fn()
-                            else:
-                                fn(event)
-                            continue
-                elif queue:
-                    delivered += 1
-                    at, _seq, event, fn = heappop(queue)
-                    if at < now:
-                        raise SimulationError("time went backwards")
-                    self.now = now = at
-                    if fn is not None:
-                        if event is None:
-                            fn()
-                        else:
-                            fn(event)
-                        continue
-                else:
-                    break
-                event._processed = True
-                callbacks = event.callbacks
-                if callbacks:
-                    if _len(callbacks) == 1:
-                        cb = callbacks.pop()
-                        if type(cb) is t_process:
-                            # inlined copy of Process._on_event (see run())
-                            exc = event._exc
-                            if exc is not None:
-                                cb._resume(None, exc)
-                            else:
-                                try:
-                                    target = cb._gen.send(event._value)
-                                except StopIteration as stop:
-                                    target = None
-                                    cb.succeed(stop.value)
-                                except BaseException as err:
-                                    if _isinstance(
-                                        err, (KeyboardInterrupt, SystemExit)
-                                    ):
-                                        raise
-                                    target = None
-                                    cb.fail(err)
-                                else:
-                                    if (
-                                        _isinstance(target, t_event)
-                                        and not target._processed
-                                    ):
-                                        target.callbacks.append(cb)
-                                    else:
-                                        cb._wait_on(target)
-                        else:
-                            cb(event)
-                    else:
-                        for cb in callbacks:
-                            cb(event)
-                        callbacks.clear()
-                    if getref is not None:
-                        kind = type(event)
-                        if kind is t_event:
-                            if (
-                                _len(event_pool) < pool_max
-                                and getref(event) == pool_refs
-                            ):
-                                event._value = None
-                                event._exc = None
-                                event._triggered = False
-                                event._processed = False
-                                event_pool.append(event)
-                        elif kind is t_timeout:
-                            if (
-                                _len(timeout_pool) < pool_max
-                                and getref(event) == pool_refs
-                            ):
-                                event._value = None
-                                event._processed = False
-                                timeout_pool.append(event)
-                        elif kind is t_process:
-                            if (
-                                _len(process_pool) < pool_max
-                                and getref(event) == pool_refs
-                            ):
-                                event._gen = None
-                                event._value = None
-                                event._exc = None
-                                event._triggered = False
-                                event._processed = False
-                                process_pool.append(event)
-                elif isinstance(event, Process) and event._exc is not None:
-                    raise event._exc
-        finally:
-            self._seq += ops
         return delivered
-
-    def run_until_idle(self, slice_events: int = 4096) -> int:
-        """Loop :meth:`step` until idle; returns total entries delivered.
-
-        Semantically equivalent to :meth:`run` with no horizon, in
-        resumable slices of ``slice_events``.
-        """
-        total = 0
-        while True:
-            n = self.step(slice_events)
-            total += n
-            if n < slice_events:
-                return total

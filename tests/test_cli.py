@@ -64,30 +64,17 @@ class TestParser:
             build_parser().parse_args(["perf", "--suite", "nonsense"])
 
     def test_executor_flags_parse(self):
-        args = build_parser().parse_args(
-            ["compare", "amazon", "--executor", "remote",
-             "--workers", "spawn:2", "--coordinator", "0.0.0.0:9465"]
-        )
-        assert args.executor == "remote"
-        assert args.workers == "spawn:2"
-        assert args.coordinator == "0.0.0.0:9465"
-        assert build_parser().parse_args(["run", "bg2", "ogbn"]).executor is None
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["compare", "amazon", "--executor", "telepathy"]
+        for name in ("serial", "process"):
+            args = build_parser().parse_args(
+                ["compare", "amazon", "--executor", name]
             )
-
-    def test_worker_subcommand_parses(self):
-        args = build_parser().parse_args(
-            ["worker", "--coordinator", "head:9465", "--retry-s", "0.5",
-             "--max-wait-s", "30", "--once", "--quiet"]
-        )
-        assert args.command == "worker"
-        assert args.coordinator == "head:9465"
-        assert args.retry_s == 0.5 and args.max_wait_s == 30.0
-        assert args.once is True and args.quiet is True
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["worker"])  # --coordinator required
+            assert args.executor == name
+        assert build_parser().parse_args(["run", "bg2", "ogbn"]).executor is None
+        for name in ("telepathy", "remote"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(
+                    ["compare", "amazon", "--executor", name]
+                )
 
     def test_perf_subcommand_parses(self):
         args = build_parser().parse_args(
@@ -245,24 +232,6 @@ class TestOrchestrationCommands:
         assert main(argv + ["--executor", "serial"]) == 0
         serial = capsys.readouterr().out
         assert default == serial
-
-    def test_run_remote_executor_loopback(self, capsys, tmp_path):
-        argv = [
-            "run", "bg2", "ogbn", *self.BASE,
-            "--cache-dir", str(tmp_path),
-            "--executor", "remote", "--workers", "spawn:1",
-            "--coordinator", "127.0.0.1:0",
-        ]
-        assert main(argv) == 0
-        cold = capsys.readouterr().out
-        assert "[1 simulated, 0 from cache]" in cold
-        # the remote table must match a plain local run bit for bit
-        assert main(
-            ["run", "bg2", "ogbn", *self.BASE, "--cache-dir", str(tmp_path)]
-        ) == 0
-        warm = capsys.readouterr().out
-        assert "[0 simulated, 1 from cache]" in warm
-        assert cold.split("[", 1)[0] == warm.split("[", 1)[0]
 
     def test_cache_stats_and_clear(self, capsys, tmp_path):
         main(["run", "bg2", "ogbn", *self.BASE, "--cache-dir", str(tmp_path)])
@@ -437,6 +406,10 @@ class TestDispatchFlags:
         assert args.jobs is None
         args = build_parser().parse_args(["run", "bg2", "amazon", "--jobs", "3"])
         assert args.jobs == 3
+        for bad in ("-2", "two"):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(["run", "bg2", "amazon", "--jobs", bad])
+            assert exc.value.code == 2
 
     @pytest.mark.parametrize(
         "argv",
@@ -446,9 +419,10 @@ class TestDispatchFlags:
             ["perf", "--suite", "grid"],
             ["perf", "--suite", "dispatch"],
             ["perf", "--grid-cells", "8"],
+            ["compare", "amazon", "--workers", "spawn:2"],
         ],
         ids=["compare-chunk", "scaleout-chunk", "suite-grid", "suite-dispatch",
-             "grid-cells"],
+             "grid-cells", "workers"],
     )
     def test_removed_dispatch_flags_rejected(self, argv):
         with pytest.raises(SystemExit):

@@ -1,15 +1,13 @@
-"""Tests for the pluggable grid executor layer.
+"""Tests for the grid executor layer.
 
 Covers the registry/resolution API, the hardened ``REPRO_*`` env
-parsing, the cgroup-aware CPU detection, the wire codec, and — the
-load-bearing property — that the ``serial`` and ``process`` backends
-produce bit-identical payloads (the ``remote`` backend's identity is
-covered in ``test_remote_worker.py``).
+parsing, the cgroup-aware CPU detection, and — the load-bearing
+property — that the ``serial`` and ``process`` backends produce
+bit-identical payloads.
 """
 
 import hashlib
 import json
-import socket
 
 import pytest
 
@@ -26,18 +24,6 @@ from repro.orchestrate.executors import (
 )
 from repro.orchestrate.grid import GridCell, run_grid
 from repro.orchestrate.serialize import result_to_payload
-from repro.orchestrate.wire import (
-    WIRE_SCHEMA_VERSION,
-    FrameDecoder,
-    decode_job,
-    decode_value,
-    encode_frame,
-    encode_job,
-    encode_value,
-    recv_msg,
-    send_msg,
-)
-from repro.ssd import ull_ssd
 
 TINY = dict(
     batch_size=8,
@@ -73,7 +59,7 @@ def _digest(outcome) -> str:
 
 class TestRegistry:
     def test_builtin_names(self):
-        assert {"serial", "process", "remote"} <= set(executor_names())
+        assert set(executor_names()) == {"serial", "process"}
 
     def test_by_name(self):
         assert isinstance(executor_by_name("serial"), SerialExecutor)
@@ -111,20 +97,6 @@ class TestRegistry:
         assert err.count("REPRO_EXECUTOR") == 1
         assert "quantum" in err
 
-    def test_context_manager_closes(self):
-        closed = []
-
-        class Probe(GridExecutor):
-            def run(self, jobs_args, *, jobs=1, cache=None):
-                return []
-
-            def close(self):
-                closed.append(True)
-
-        with Probe() as ex:
-            assert ex.run([]) == []
-        assert closed == [True]
-
 
 class TestBackendIdentity:
     def test_serial_process_bit_identical(self):
@@ -160,7 +132,7 @@ class TestBackendIdentity:
         class Broken(GridExecutor):
             name = "broken"
 
-            def run(self, jobs_args, *, jobs=1, cache=None):
+            def run(self, jobs_args, *, jobs=1):
                 return []
 
         with pytest.raises(RuntimeError, match="returned 0 payloads"):
@@ -187,14 +159,6 @@ class TestEnvHardening:
         assert envcfg.env_float("SOME_KNOB", 0.0) == 2.5
         monkeypatch.delenv("SOME_KNOB")
         assert envcfg.env_float("SOME_KNOB", 7.0) == 7.0
-
-    def test_env_int_invalid_falls_back(self, monkeypatch, capsys):
-        envcfg.reset_warnings()
-        monkeypatch.setenv("SOME_COUNT", "many")
-        assert envcfg.env_int("SOME_COUNT", 3, minimum=1) == 3
-        monkeypatch.setenv("SOME_COUNT", "0")
-        assert envcfg.env_int("SOME_COUNT", 3, minimum=1) == 3
-        assert capsys.readouterr().err.count("SOME_COUNT") == 2
 
     def test_heartbeat_env_invalid_is_silent_default(self, monkeypatch, capsys):
         envcfg.reset_warnings()
@@ -243,69 +207,3 @@ class TestAvailableCpus:
     def test_available_cpus_ignores_absent_quota(self, monkeypatch):
         monkeypatch.setattr(batched, "_cgroup_cpu_quota", lambda *a: None)
         assert available_cpus() >= 1
-
-
-class TestWireCodec:
-    def cell(self):
-        return GridCell(
-            platform="bg2",
-            workload="ogbn",
-            seed=7,
-            ssd_config=ull_ssd(),
-            targets=((1, 2, 3), (4, 5)),
-            **TINY,
-        )
-
-    def test_job_round_trip(self):
-        job = (self.cell(), 12345, "/tmp/images")
-        wire_doc = json.loads(json.dumps(encode_job(job)))
-        cell, seed, root = decode_job(wire_doc)
-        assert cell == job[0]
-        assert seed == 12345 and root == "/tmp/images"
-
-    def test_round_trip_preserves_cache_key(self):
-        from repro.orchestrate.grid import cell_cache_key
-
-        job = (self.cell(), 9, None)
-        decoded = decode_job(json.loads(json.dumps(encode_job(job))))
-        assert cell_cache_key(decoded[0], 9) == cell_cache_key(job[0], 9)
-
-    def test_unregistered_dataclass_rejected(self):
-        import dataclasses
-
-        @dataclasses.dataclass
-        class Rogue:
-            x: int = 1
-
-        with pytest.raises(TypeError, match="not registered"):
-            encode_value(Rogue())
-        with pytest.raises(ValueError, match="unknown wire dataclass"):
-            decode_value({"__dc__": "Rogue", "fields": {"x": 1}})
-
-    def test_decoder_reassembles_split_frames(self):
-        frames = encode_frame({"a": 1}) + encode_frame({"b": [1, 2]})
-        decoder = FrameDecoder()
-        messages = []
-        for i in range(len(frames)):
-            messages.extend(decoder.feed(frames[i : i + 1]))
-        assert messages == [{"a": 1}, {"b": [1, 2]}]
-
-    def test_decoder_rejects_oversized_frame(self):
-        import struct
-
-        decoder = FrameDecoder()
-        with pytest.raises(ConnectionError, match="oversized"):
-            decoder.feed(struct.pack(">I", 1 << 31))
-
-    def test_socket_round_trip(self):
-        a, b = socket.socketpair()
-        try:
-            send_msg(a, {"type": "hello", "schema": WIRE_SCHEMA_VERSION})
-            assert recv_msg(b) == {
-                "type": "hello",
-                "schema": WIRE_SCHEMA_VERSION,
-            }
-            a.close()
-            assert recv_msg(b) is None
-        finally:
-            b.close()

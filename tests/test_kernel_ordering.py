@@ -233,6 +233,47 @@ def test_run_until_parks_clock_between_events():
     sim.run(until=3.5)
     assert log == [1.0, 2.0, 3.0]
 
+    def due_at_horizon():
+        yield sim.timeout(0.5)
+        log.append(("due", sim.now))
+        yield sim.timeout(0.0)  # zero-delay work spawned at the horizon
+        log.append(("spawned", sim.now))
+
+    sim.process(due_at_horizon())
+    sim.run(until=4.0)  # the tick and due_at_horizon both fall due at 4.0
+    assert log == [1.0, 2.0, 3.0, 4.0, ("due", 4.0), ("spawned", 4.0)]
+    assert sim.now == 4.0
+    # a following step resumes with the next entry, the tick at 5.0
+    assert sim.step(1) == 1
+    assert log[-1] == 5.0 and sim.now == 5.0
+
+
+def test_run_until_behind_the_clock_raises():
+    sim = Simulator()
+    log = []
+
+    def ticker():
+        while True:
+            yield sim.timeout(1.0)
+            log.append(sim.now)
+
+    sim.process(ticker())
+    sim.run(until=2.5)
+    with pytest.raises(ValueError, match="before now"):
+        sim.run(until=1.0)
+    with pytest.raises(ValueError, match="before now"):
+        sim.run(until=float("nan"))
+    assert sim.now == 2.5 and log == [1.0, 2.0]
+
+    def late():
+        yield sim.timeout(0.5)
+        log.append(("late", sim.now))
+
+    # the clock stayed put, so new work lands after what was delivered
+    sim.process(late())
+    sim.run(until=3.5)
+    assert log == [1.0, 2.0, 3.0, ("late", 3.0)]
+
 
 def test_time_cannot_go_backwards():
     import heapq

@@ -403,28 +403,6 @@ class TestWrongShapeEntries:
             r.to_dict() for r in cold.results
         ]
 
-    @pytest.mark.parametrize("content", WRONG_SHAPES)
-    def test_remote_worker_re_simulates_the_cell(self, tmp_path, monkeypatch, content):
-        from repro.orchestrate.wire import encode_job
-        from repro.orchestrate.worker import _execute_chunk_message
-
-        # No heartbeat falls due, so the chunk never touches the socket.
-        monkeypatch.setenv("REPRO_WORKER_HEARTBEAT_S", "3600")
-        cache = ResultCache(tmp_path)
-        (cell,) = tiny_cells(platforms=("bg2",))
-        cold = run_grid([cell], jobs=1, cache=cache, executor="serial")
-        cache.path_for(cold.keys[0]).write_text(content)
-        message = {
-            "chunk_id": 0,
-            "jobs": [encode_job((cell, derive_cell_seed(0, cell), None))],
-            "keys": cold.keys,
-            "cache_root": str(tmp_path),
-        }
-        payloads, executed, cached = _execute_chunk_message(None, message, None)
-        assert (executed, cached) == (1, 0)
-        assert result_from_payload(payloads[0]).to_dict() == cold.results[0].to_dict()
-        assert load_cached([cell], cache)[0].to_dict() == cold.results[0].to_dict()
-
 
 class TestScaleOutCache:
     """ScaleOutResult documents in the content-addressed result cache."""

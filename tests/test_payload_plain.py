@@ -1,7 +1,7 @@
 """Cell payloads are plain JSON values by construction.
 
-``result_to_payload`` hands its dict as built to the result cache, the
-wire codec and the process pool; no JSON round trip normalizes it first.
+``result_to_payload`` hands its dict as built to the result cache and
+the process pool; no JSON round trip normalizes it first.
 These tests pin what such a round trip would guarantee:
 
 * every payload equals its own ``json.loads(json.dumps(...))`` type for

@@ -66,7 +66,6 @@ class TestOneExecutionPath:
 
         from repro.cache import sweep_cache
         from repro.orchestrate import GridExecutor, run_grid
-        from repro.orchestrate.remote import RemoteExecutor
         from repro.platforms import (
             measure_query_latency,
             run_scaleout,
@@ -77,7 +76,6 @@ class TestOneExecutionPath:
         for fn in (
             run_grid,
             GridExecutor.run,
-            RemoteExecutor.run,
             run_scaleout,
             scaleout_outcome,
             measure_query_latency,

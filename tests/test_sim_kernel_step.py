@@ -1,4 +1,4 @@
-"""The resumable kernel: ``step(max_events)`` / ``run_until_idle()``.
+"""The resumable kernel: ``step(max_events)``.
 
 The batched grid executor interleaves many live kernels by slicing each
 one with ``step``. These tests pin the contract that makes that safe:
@@ -12,7 +12,7 @@ import pytest
 from repro.sim import AllOf, AnyOf, Simulator
 from repro.sim.kernel import SimulationError
 
-from test_kernel_ordering import GOLDEN_TRACE, _run_scenario
+from test_kernel_ordering import GOLDEN_TRACE
 
 
 def _build_scenario_sim():
@@ -80,12 +80,6 @@ def test_step_driven_scenario_matches_golden_trace(slice_events):
     assert sim.idle
 
 
-def test_run_until_idle_matches_run():
-    stepped_sim, stepped_log = _build_scenario_sim()
-    stepped_sim.run_until_idle(slice_events=5)
-    assert stepped_log == _run_scenario() == GOLDEN_TRACE
-
-
 def test_step_and_run_interleave():
     """A simulation may switch freely between step slices and run()."""
     sim, log = _build_scenario_sim()
@@ -127,19 +121,6 @@ def test_step_budget_and_idle_signal():
 def test_step_rejects_bad_budget():
     with pytest.raises(ValueError):
         Simulator().step(0)
-
-
-def test_run_until_idle_counts_deliveries():
-    sim = Simulator()
-
-    def worker():
-        yield sim.timeout(1.0)
-        yield sim.event().succeed("x")
-
-    sim.process(worker())
-    delivered = sim.run_until_idle(slice_events=2)
-    assert delivered > 0 and sim.idle
-    assert sim.now == 1.0
 
 
 def test_interleaved_simulations_stay_independent():
