@@ -36,7 +36,7 @@ class KernelCounters:
     call_soons: int = 0  # direct-callable zero-delay entries
     processes: int = 0  # process() starts
     processes_recycled: int = 0  # process() calls served from the pool
-    wall_seconds: float = 0.0  # time spent inside probed run() calls
+    wall_seconds: float = 0.0  # time spent delivering (run() and step())
     seq_start: int = 0
     seq_end: int = 0
 
@@ -91,7 +91,7 @@ class KernelProbe:
         raw_call_soon = cls._call_soon
         raw_call_soon_with = cls._call_soon_with
         raw_process = cls.process
-        raw_run = cls.run
+        raw_deliver = cls._deliver
 
         def timeout(delay, value=None):
             counters.timeouts += 1
@@ -117,10 +117,12 @@ class KernelProbe:
                 counters.processes_recycled += 1
             return proc
 
-        def run(until=None):
+        # run() and step() both drive the kernel through _deliver, so
+        # timing it covers a simulator driven either way.
+        def deliver(max_events, until):
             t0 = time.perf_counter()
             try:
-                return raw_run(sim, until)
+                return raw_deliver(sim, max_events, until)
             finally:
                 counters.wall_seconds += time.perf_counter() - t0
                 counters.seq_end = sim._seq
@@ -129,7 +131,7 @@ class KernelProbe:
         sim._call_soon = call_soon
         sim._call_soon_with = call_soon_with
         sim.process = process
-        sim.run = run
+        sim._deliver = deliver
         self._attached = True
         return self
 
@@ -142,7 +144,7 @@ class KernelProbe:
                 "_call_soon",
                 "_call_soon_with",
                 "process",
-                "run",
+                "_deliver",
             ):
                 if name in sim.__dict__:
                     delattr(sim, name)

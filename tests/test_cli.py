@@ -226,12 +226,29 @@ class TestOrchestrationCommands:
         assert "[1 simulated, 0 from cache]" in capsys.readouterr().out
 
     def test_run_serial_executor_matches_default(self, capsys):
+        from repro.orchestrate.grid import _PREPARED_MEMO
+
         argv = ["run", "bg2", "ogbn", *self.BASE, "--no-cache"]
+        # each run builds its image, so both print the same images line
+        _PREPARED_MEMO.clear()
         assert main(argv) == 0
         default = capsys.readouterr().out
+        _PREPARED_MEMO.clear()
         assert main(argv + ["--executor", "serial"]) == 0
         serial = capsys.readouterr().out
         assert default == serial
+
+    def test_compare_process_pool_matches_serial(self, capsys):
+        from repro.orchestrate.grid import _PREPARED_MEMO
+
+        argv = ["compare", "ogbn", *self.BASE, "--no-cache"]
+        _PREPARED_MEMO.clear()
+        assert main(argv + ["--executor", "process", "--jobs", "2"]) == 0
+        pooled = capsys.readouterr().out
+        assert "[9 simulated, 0 from cache] [images: 1 built, 0 reused]" in pooled
+        _PREPARED_MEMO.clear()
+        assert main(argv + ["--executor", "serial"]) == 0
+        assert capsys.readouterr().out == pooled
 
     def test_cache_stats_and_clear(self, capsys, tmp_path):
         main(["run", "bg2", "ogbn", *self.BASE, "--cache-dir", str(tmp_path)])
@@ -420,9 +437,11 @@ class TestDispatchFlags:
             ["perf", "--suite", "dispatch"],
             ["perf", "--grid-cells", "8"],
             ["compare", "amazon", "--workers", "spawn:2"],
+            ["compare", "amazon", "--coordinator", "0.0.0.0:9465"],
+            ["worker", "--coordinator", "head:9465"],
         ],
         ids=["compare-chunk", "scaleout-chunk", "suite-grid", "suite-dispatch",
-             "grid-cells", "workers"],
+             "grid-cells", "workers", "coordinator", "worker-subcommand"],
     )
     def test_removed_dispatch_flags_rejected(self, argv):
         with pytest.raises(SystemExit):

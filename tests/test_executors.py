@@ -1,7 +1,8 @@
 """Tests for the grid executor layer.
 
 Covers the registry/resolution API, the hardened ``REPRO_*`` env
-parsing, the cgroup-aware CPU detection, and — the load-bearing
+parsing, the cgroup-aware CPU detection, that a backend is handed only
+the cells that missed the result cache, and — the load-bearing
 property — that the ``serial`` and ``process`` backends produce
 bit-identical payloads.
 """
@@ -22,6 +23,7 @@ from repro.orchestrate.executors import (
     executor_names,
     resolve_executor,
 )
+from repro.orchestrate import ResultCache
 from repro.orchestrate.grid import GridCell, run_grid
 from repro.orchestrate.serialize import result_to_payload
 
@@ -169,6 +171,48 @@ class TestEnvHardening:
     def test_heartbeat_env_valid_returns_beat(self, monkeypatch):
         monkeypatch.setenv("REPRO_GRID_HEARTBEAT_S", "0.5")
         assert callable(batched._env_heartbeat())
+
+
+class Recording:
+    """A duck-typed backend (no GridExecutor base) that logs its jobs."""
+
+    name = "recording"
+
+    def __init__(self):
+        self.calls = []
+
+    def run(self, jobs_args, *, jobs=1):
+        self.calls.append([(cell, seed) for cell, seed, _root in jobs_args])
+        return SerialExecutor().run(jobs_args, jobs=jobs)
+
+
+class TestPendingCellsOnly:
+    """The result cache is run_grid's business: a backend is handed the
+    cells that missed it and nothing else."""
+
+    def test_backend_sees_only_cache_misses(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cells = tiny_cells(3)
+        reference = run_grid(cells, jobs=1, executor="serial")
+        run_grid([cells[1]], jobs=1, cache=cache, executor="serial")
+
+        backend = Recording()
+        outcome = run_grid(cells, jobs=1, cache=cache, executor=backend)
+        assert [[cell for cell, _seed in call] for call in backend.calls] == [
+            [cells[0], cells[2]]
+        ]
+        assert outcome.from_cache == [False, True, False]
+        assert _digest(outcome) == _digest(reference)
+
+    def test_fully_cached_grid_never_calls_the_backend(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cells = tiny_cells(2)
+        cold = run_grid(cells, jobs=1, cache=cache, executor="serial")
+        backend = Recording()
+        warm = run_grid(cells, jobs=1, cache=cache, executor=backend)
+        assert backend.calls == []
+        assert warm.executed == 0
+        assert _digest(warm) == _digest(cold)
 
 
 class TestAvailableCpus:

@@ -40,6 +40,7 @@ class TestKernelProbe:
         sim = Simulator()
         probe = KernelProbe(sim).attach()
         probe.detach()
+        assert "_deliver" not in sim.__dict__
         assert "run" not in sim.__dict__
         assert "timeout" not in sim.__dict__
         # kernel still fully functional
@@ -57,6 +58,7 @@ class TestKernelProbe:
         sim = Simulator()
         with KernelProbe(sim):
             other = Simulator()
+            assert "_deliver" not in other.__dict__
             assert "run" not in other.__dict__
 
     def test_recycled_counters(self):
@@ -79,6 +81,31 @@ class TestKernelProbe:
             sim.process(iter_gen(sim, 5))
             sim.run()
         assert probe.counters.ops == sim._seq
+
+    @pytest.mark.parametrize("driver", ["step", "run_until"])
+    def test_times_a_sliced_simulator(self, driver):
+        """A simulator driven by step() slices or run(until) horizons is
+        timed like one drained by a single run()."""
+        twin = Simulator()
+        twin.process(iter_gen(twin, 2000))
+        twin.run()
+
+        sim = Simulator()
+        with KernelProbe(sim) as probe:
+            sim.process(iter_gen(sim, 2000))
+            if driver == "step":
+                while sim.step(256):
+                    pass
+            else:
+                horizon = 0.0
+                while not sim.idle:
+                    horizon += 50.0
+                    sim.run(until=horizon)
+            # read before detach, which would refresh seq_end itself
+            c = probe.counters
+            assert c.ops == twin._seq
+        assert c.wall_seconds > 0
+        assert c.ops_per_sec > 0
 
 
 def iter_gen(sim, n):
