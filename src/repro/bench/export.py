@@ -18,7 +18,7 @@ import json
 from pathlib import Path
 from typing import Dict, Iterable, List, Union
 
-from ..orchestrate.serialize import result_from_payload, result_to_payload
+from ..orchestrate.grid import CELL_DOC
 from ..platforms.result import RunResult
 
 # re-exported here so analysis code has one import for "load results"
@@ -102,7 +102,7 @@ def write_results(
     """
     if isinstance(results, RunResult):
         results = [results]
-    payloads = [result_to_payload(r) for r in results]
+    payloads = [CELL_DOC.to_payload(r) for r in results]
     path = Path(path)
     path.write_text(json.dumps(payloads, indent=2, sort_keys=True))
     return path
@@ -111,7 +111,7 @@ def write_results(
 def read_results(path: Union[str, Path]) -> List[RunResult]:
     """Reload results written by :func:`write_results`."""
     payloads = json.loads(Path(path).read_text())
-    return [result_from_payload(p) for p in payloads]
+    return [CELL_DOC.from_payload(p) for p in payloads]
 
 
 def write_series_csv(

@@ -13,8 +13,7 @@ before the datapath stops paying for flash reads? It runs
 
 all fanned through :func:`repro.orchestrate.run_grid` (content-addressed
 per-cell caching, worker fan-out), with the finished sweep stored as its
-own cache document so re-rendering is free
-(:func:`repro.orchestrate.serialize.cache_sweep_to_payload`).
+own cache document (:data:`CACHE_ABLATION_DOC`) so re-rendering is free.
 
 Measured and replayed hit rates agree closely but not exactly: the live
 cache sees accesses in event order (policy- and size-dependent) and
@@ -28,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
 
+from ..cacheutil import CachedDocument
 from .page import DEFAULT_HIT_LATENCY_S, CacheConfig
 from .replay import belady_replay, replay_trace
 from .trace import page_trace_from_result
@@ -35,6 +35,7 @@ from .trace import page_trace_from_result
 __all__ = [
     "CachePoint",
     "CacheSweep",
+    "CACHE_ABLATION_DOC",
     "CacheSweepOutcome",
     "cache_ablation_key",
     "sweep_cache",
@@ -146,6 +147,12 @@ class CacheSweep:
         )
 
 
+#: One whole ablation, stored beside its cells.
+CACHE_ABLATION_DOC = CachedDocument(
+    "cache_ablation", 1, CacheSweep, "cache_ablation"
+)
+
+
 @dataclass
 class CacheSweepOutcome:
     """A sweep plus its cache accounting (mirrors ServingOutcome)."""
@@ -175,15 +182,8 @@ def cache_ablation_key(
     seed: int,
 ) -> str:
     """Content-addressed cache key for one whole ablation document."""
-    from .. import __version__
-    from ..cacheutil import stable_hash
-    from ..orchestrate.serialize import CACHE_ABLATION_SCHEMA_VERSION
-
-    return stable_hash(
+    return CACHE_ABLATION_DOC.key(
         {
-            "kind": "cache_ablation",
-            "schema": CACHE_ABLATION_SCHEMA_VERSION,
-            "code_version": __version__,
             "platform": platform,
             "workload": spec,
             "ssd_config": config,
@@ -238,10 +238,6 @@ def sweep_cache(
         outcome_from_cache,
         run_grid,
     )
-    from ..orchestrate.serialize import (
-        cache_sweep_from_payload,
-        cache_sweep_to_payload,
-    )
     from ..platforms.features import PlatformFeatures
     from ..platforms.registry import platform_by_name
     from ..platforms.runner import DEFAULT_SCALED_NODES, PreparedWorkload
@@ -292,14 +288,9 @@ def sweep_cache(
         scaled_nodes=scaled_nodes,
         seed=seed,
     )
-    if cache is not None:
-        document = cache.get(key)
-        if document is not None:
-            return CacheSweepOutcome(
-                sweep=cache_sweep_from_payload(document["payload"]),
-                key=key,
-                from_cache=True,
-            )
+    cached = CACHE_ABLATION_DOC.load(cache, key)
+    if cached is not None:
+        return CacheSweepOutcome(sweep=cached, key=key, from_cache=True)
 
     if prepared is not None:
         adopt_prepared(prepared)
@@ -393,27 +384,15 @@ def sweep_cache(
         belady_hit_rates=belady_rates,
         points=points,
     )
-    # The same payload round trip every cached document takes, so fresh
-    # and warm renders are interchangeable bit for bit.
-    payload_doc = cache_sweep_to_payload(sweep)
-    if cache is not None:
-        from .. import __version__
-
-        cache.put(
-            key,
-            {
-                "payload": payload_doc,
-                "meta": {
-                    "kind": "cache_ablation",
-                    "platform": features.name,
-                    "workload": spec.name,
-                    "seed": seed,
-                    "code_version": __version__,
-                },
-            },
-        )
     return CacheSweepOutcome(
-        sweep=cache_sweep_from_payload(payload_doc),
+        sweep=CACHE_ABLATION_DOC.store(
+            cache,
+            key,
+            CACHE_ABLATION_DOC.to_payload(sweep),
+            platform=features.name,
+            workload=spec.name,
+            seed=seed,
+        ),
         key=key,
         from_cache=False,
         cells_executed=outcome.executed,

@@ -1,19 +1,22 @@
 """Shared primitives for the on-disk content-addressed caches.
 
 Both cache layers — the :class:`repro.orchestrate.cache.ResultCache`
-(simulated ``RunResult`` documents) and the
+(simulated result documents) and the
 :class:`repro.directgraph.imagecache.ImageCache` (serialized
 ``DirectGraphImage`` + graph arrays) — share the same foundations: a
-stable value hash for key derivation, one default cache root, atomic
-entry writes, directory stats, and an age/size LRU-by-mtime eviction
-policy. They live here, in a dependency-free module, so the directgraph
-layer can use them without importing the orchestration package (which
-itself imports the platforms that build on directgraph).
+stable value hash for key derivation, the source fingerprint every key
+covers, one default cache root, atomic entry writes, directory stats,
+and an age/size LRU-by-mtime eviction policy. They live here, in a
+dependency-free module, so the directgraph layer can use them without
+importing the orchestration package (which itself imports the platforms
+that build on directgraph), and so each result module can declare its
+:class:`CachedDocument` kind at import time.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import numbers
@@ -22,11 +25,13 @@ import socket
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Callable, Optional, Sequence, Union
+from typing import BinaryIO, Callable, Dict, Optional
 
 __all__ = [
     "json_default",
     "stable_hash",
+    "code_fingerprint",
+    "CachedDocument",
     "default_cache_dir",
     "atomic_write",
     "CacheStats",
@@ -76,6 +81,104 @@ def stable_hash(obj) -> str:
         _canonicalize(obj), sort_keys=True, separators=(",", ":")
     ).encode()
     return hashlib.sha256(encoded).hexdigest()[:40]
+
+
+@functools.lru_cache(maxsize=None)
+def code_fingerprint() -> str:
+    """Hex digest of every ``.py`` file in this package: path and bytes.
+
+    Every result-document and image key hashes it, so an edit anywhere
+    in the package — a model coefficient, a scheduling rule, a builder —
+    turns every warm entry into a miss instead of a stale hit. Hashed
+    once per process.
+    """
+    root = Path(__file__).resolve().parent
+    digest = hashlib.sha256()
+    for rel in sorted(p.relative_to(root).as_posix() for p in root.rglob("*.py")):
+        data = (root / rel).read_bytes()
+        digest.update(f"{rel}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()[:40]
+
+
+@dataclass(frozen=True)
+class CachedDocument:
+    """One kind of result document in the content-addressed result cache.
+
+    A payload is ``{"schema", "kind", field: result.to_dict()}`` —
+    ``tagged=False`` leaves out ``"kind"`` — built as plain JSON values
+    and encoded only where bytes are written. A fresh result is rebuilt
+    from its payload exactly as a cached one is, so the two are
+    interchangeable bit for bit. ``result_type.from_dict`` is looked up
+    per call, never captured, so wrappers installed on it later see
+    every decode.
+    """
+
+    kind: str
+    schema: int
+    result_type: type
+    field: str
+    tagged: bool = True
+
+    def key(self, identity: Dict) -> str:
+        """Content-addressed key of one document: its identity and the code."""
+        return stable_hash(
+            {
+                "kind": self.kind,
+                "schema": self.schema,
+                "code_version": code_fingerprint(),
+                **identity,
+            }
+        )
+
+    def to_payload(self, result) -> Dict:
+        payload: Dict = {"schema": self.schema}
+        if self.tagged:
+            payload["kind"] = self.kind
+        payload[self.field] = result.to_dict()
+        return payload
+
+    def _usable(self, payload: Dict) -> bool:
+        return payload.get("schema") == self.schema and isinstance(
+            payload.get(self.field), dict
+        )
+
+    def from_payload(self, payload: Dict):
+        if not self._usable(payload):
+            raise ValueError(
+                f"unsupported {self.kind} payload: want schema {self.schema} "
+                f"with a {self.field!r} object, got schema "
+                f"{payload.get('schema')!r}"
+            )
+        return self.result_type.from_dict(payload[self.field])
+
+    def load(self, cache, key: str):
+        """The result cached under ``key``, or None when it is unusable.
+
+        No cache, a missing or unreadable entry (:meth:`ResultCache.get`),
+        and a payload of another schema or without its ``field`` object
+        are all misses: the caller rebuilds and rewrites the entry.
+        """
+        document = cache.get(key) if cache is not None else None
+        if document is None or not self._usable(document["payload"]):
+            return None
+        return self.from_payload(document["payload"])
+
+    def store(self, cache, key: str, payload: Dict, **meta):
+        """Write ``payload`` under ``key`` when there is a cache; decode it."""
+        if cache is not None:
+            cache.put(
+                key,
+                {
+                    "payload": payload,
+                    "meta": {
+                        "kind": self.kind,
+                        **meta,
+                        "code_version": code_fingerprint(),
+                    },
+                },
+            )
+        return self.from_payload(payload)
 
 
 def default_cache_dir() -> Path:

@@ -945,7 +945,10 @@ def cmd_info(args) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "from_cache", False) and not args.cache:
+        parser.error("--from-cache reads the result cache; drop --no-cache")
     handlers = {
         "run": cmd_run,
         "compare": cmd_compare,

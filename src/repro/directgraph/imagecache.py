@@ -11,9 +11,11 @@ workload image builds it exactly once per machine and loads bytes
 thereafter.
 
 Keys come from :func:`repro.cacheutil.stable_hash` over the canonical
-value contents, so logically-equal specs constructed in different ways
-share entries. Entries are written atomically (tmp file + rename) and
-any unreadable/corrupt entry is treated as a miss, never an error.
+value contents and the package's source fingerprint
+(:func:`repro.cacheutil.code_fingerprint`), so logically-equal specs
+constructed in different ways share entries and a builder edit misses.
+Entries are written atomically (tmp file + rename) and any
+unreadable/corrupt entry is treated as a miss, never an error.
 
 Feature tables are *not* stored: they are procedural (O(1) memory,
 derived from the workload seed), so the loader reconstructs them for
@@ -33,6 +35,7 @@ from ..cacheutil import (
     CacheStats,
     atomic_write,
     clear_dir,
+    code_fingerprint,
     default_cache_dir,
     dir_stats,
     prune_dir,
@@ -125,7 +128,7 @@ class ImageCache:
         fmt: FormatSpec,
         layout: str = "node-order",
     ) -> str:
-        """Hash of everything the image bytes depend on.
+        """Hash of everything the image bytes depend on, code included.
 
         ``layout`` joins the key only when it is not the default, so
         every pre-layout cache entry keeps its key.
@@ -133,6 +136,7 @@ class ImageCache:
         payload = {
                 "kind": "directgraph-image",
                 "schema": IMAGE_SCHEMA_VERSION,
+                "code_version": code_fingerprint(),
                 "workload": workload,
                 "page_size": int(page_size),
                 "format": {

@@ -24,6 +24,7 @@ from .executors import (
     resolve_executor,
 )
 from .grid import (
+    CELL_DOC,
     GridCell,
     GridOutcome,
     adopt_prepared,
@@ -33,19 +34,9 @@ from .grid import (
     outcome_from_cache,
     run_grid,
 )
-from .serialize import (
-    RESULT_SCHEMA_VERSION,
-    SCALEOUT_SCHEMA_VERSION,
-    SERVING_SCHEMA_VERSION,
-    result_from_payload,
-    result_to_payload,
-    scaleout_from_payload,
-    scaleout_to_payload,
-    serving_from_payload,
-    serving_to_payload,
-)
 
 __all__ = [
+    "CELL_DOC",
     "GridCell",
     "GridOutcome",
     "run_grid",
@@ -69,13 +60,4 @@ __all__ = [
     "CacheStats",
     "default_cache_dir",
     "stable_hash",
-    "RESULT_SCHEMA_VERSION",
-    "result_to_payload",
-    "result_from_payload",
-    "SCALEOUT_SCHEMA_VERSION",
-    "scaleout_to_payload",
-    "scaleout_from_payload",
-    "SERVING_SCHEMA_VERSION",
-    "serving_to_payload",
-    "serving_from_payload",
 ]

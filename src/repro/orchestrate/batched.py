@@ -17,7 +17,8 @@ its workers.
 Delivery-order guarantee: each kernel is driven only through ``step``,
 which delivers in exactly the order one ``run()`` call would (see
 :mod:`repro.sim.kernel`), and the simulations share no state, so the
-payloads produced here are bit-identical to one-shot
+payloads produced here — :data:`~repro.orchestrate.grid.CELL_DOC`
+envelopes of plain JSON values — are bit-identical to one-shot
 :func:`~repro.platforms.runner.run_platform` calls.
 
 :func:`run_grid` ships batches of cells to pool workers through
@@ -39,7 +40,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..platforms.runner import PlatformRun
 from .envcfg import env_float
-from .serialize import result_to_payload
+from .grid import CELL_DOC, _prepared_for
 
 __all__ = [
     "execute_batch",
@@ -130,8 +131,6 @@ def auto_chunk_size(n_cells: int, jobs: int) -> int:
 
 def _start_run(job: Tuple) -> PlatformRun:
     """Launch one cell's simulation over the shared prepared-image memo."""
-    from .grid import _prepared_for
-
     cell, seed, image_cache_root = job
     config = cell.resolved_config()
     prepared = _prepared_for(
@@ -190,7 +189,7 @@ def execute_batch(
             n = run.step(slice_events)
             events += n
             if n < slice_events and run.finished:
-                payloads[i] = result_to_payload(run.finalize())
+                payloads[i] = CELL_DOC.to_payload(run.finalize())
                 completed += 1
                 idle_sweeps.pop(i, None)
             elif n < slice_events:

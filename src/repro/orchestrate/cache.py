@@ -1,12 +1,14 @@
 """Content-addressed on-disk result cache.
 
-A cache entry is one simulated grid cell, keyed by a stable hash of
-*everything that determines the result*: the SSD configuration, the
-platform feature bundle, the (scaled) workload spec, the run parameters,
-and the code/schema version. Equal inputs always map to the same key, so
-repeated sweeps, CI runs, and overlapping benchmark grids skip cells that
-have already been simulated — regardless of which entry point ran them
-first.
+A cache entry is one result document — a simulated grid cell, or a
+scale-out, serving or ablation document built from cells — keyed by a
+stable hash of *everything that determines the result*: the SSD
+configuration, the platform feature bundle, the (scaled) workload spec,
+the run parameters, the document schema and the source fingerprint
+(:class:`repro.cacheutil.CachedDocument`). Equal inputs always map to
+the same key, so repeated sweeps, CI runs, and overlapping benchmark
+grids skip cells that have already been simulated — regardless of which
+entry point ran them first.
 
 Entries are JSON documents written atomically (tmp file + rename), so a
 killed run never leaves a truncated entry behind; unreadable entries —
@@ -45,7 +47,7 @@ __all__ = [
 
 
 class ResultCache:
-    """Directory of ``<key>.json`` entries, one per simulated cell."""
+    """Directory of ``<key>.json`` entries, one per result document."""
 
     def __init__(self, root: Optional[Union[str, Path]] = None) -> None:
         self.root = Path(root).expanduser() if root else default_cache_dir()

@@ -15,7 +15,7 @@ simulate them through :func:`~repro.orchestrate.batched.execute_batch`,
 and return payload dicts in job order. Determinism is the protocol's
 core contract: per-cell seeds are fixed *before* dispatch, a cell's
 simulation depends only on (cell, seed), and payloads are plain JSON
-values by construction (see :mod:`repro.orchestrate.serialize`), so
+values by construction (:data:`repro.orchestrate.grid.CELL_DOC`), so
 pickling them back from a pool worker changes nothing — ``process`` is
 bit-identical to ``serial``.
 

@@ -11,8 +11,9 @@ worker count or execution order. Per-cell seeds are derived with the
 same ``repro.rng`` counter stream used by the samplers — keyed by the
 cell's content hash — so ``--jobs 8`` is bit-identical to ``--jobs 1``,
 and a cached result is bit-identical to a fresh one: both are rebuilt by
-``result_from_payload`` from a payload of plain JSON values, a fresh one
-as the simulation built it and a cached one as decoded from disk.
+:data:`CELL_DOC` from a payload of plain JSON values, a fresh one as the
+simulation built it (:meth:`CachedDocument.store`) and a cached one as
+decoded from disk (:meth:`CachedDocument.load`).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .. import __version__
+from ..cacheutil import CachedDocument
 from ..directgraph import builder as _builder
 from ..directgraph import imagecache as _imagecache
 from ..cache.page import CacheConfig
@@ -38,9 +39,9 @@ from ..ssd.config import SSDConfig, ull_ssd
 from ..workloads.registry import workload_by_name
 from ..workloads.specs import WorkloadSpec
 from .cache import ResultCache, stable_hash
-from .serialize import RESULT_SCHEMA_VERSION, result_from_payload
 
 __all__ = [
+    "CELL_DOC",
     "GridCell",
     "GridOutcome",
     "run_grid",
@@ -50,6 +51,10 @@ __all__ = [
     "cell_cache_key",
     "adopt_prepared",
 ]
+
+#: One simulated grid cell. Untagged: the golden RunResult digests hash
+#: this envelope, which has never carried a ``"kind"`` field.
+CELL_DOC = CachedDocument("cell", 1, RunResult, "result", tagged=False)
 
 
 @dataclass(frozen=True)
@@ -154,32 +159,7 @@ def derive_cell_seed(base_seed: int, cell: GridCell) -> int:
 
 def cell_cache_key(cell: GridCell, seed: int) -> str:
     """Content-addressed cache key for one (cell, effective seed)."""
-    return stable_hash(
-        {
-            "schema": RESULT_SCHEMA_VERSION,
-            "code_version": __version__,
-            **_cell_identity(cell),
-            "seed": seed,
-        }
-    )
-
-
-def _cached_payload(cache: ResultCache, key: str) -> Optional[Dict]:
-    """The cell payload cached under ``key``, or None when it is unusable.
-
-    A missing or unreadable entry is a miss (:meth:`ResultCache.get`), and
-    so is a payload of another ``RESULT_SCHEMA_VERSION`` or one without a
-    ``result`` object: the caller re-simulates and rewrites the entry.
-    """
-    document = cache.get(key)
-    if document is None:
-        return None
-    payload = document["payload"]
-    if payload.get("schema") != RESULT_SCHEMA_VERSION or not isinstance(
-        payload.get("result"), dict
-    ):
-        return None
-    return payload
+    return CELL_DOC.key({**_cell_identity(cell), "seed": seed})
 
 
 # Per-process bounded LRU of prepared workload images: the in-memory
@@ -303,10 +283,10 @@ def run_grid(
     """Run every cell, in parallel, skipping cells already in ``cache``.
 
     Returns results in cell order. All results — fresh, parallel, or
-    cached — are rebuilt by ``result_from_payload`` from a payload of
-    plain JSON values (a fresh one as built, a cached one as decoded from
-    disk), so they are interchangeable bit for bit. A fresh payload is
-    encoded once, by :meth:`ResultCache.put`.
+    cached — are rebuilt by :data:`CELL_DOC` from a payload of plain JSON
+    values (a fresh one as built, a cached one as decoded from disk), so
+    they are interchangeable bit for bit. A fresh payload is encoded
+    once, by :meth:`ResultCache.put`.
 
     ``executor`` picks the backend that actually runs pending cells: a
     registered name (``"serial"`` or ``"process"``), a
@@ -342,14 +322,8 @@ def run_grid(
     ]
     keys = [cell_cache_key(cell, seed) for cell, seed in zip(cells, seeds)]
 
-    payloads: List[Optional[Dict]] = [None] * len(cells)
-    pending: List[int] = []
-    for i, key in enumerate(keys):
-        payload = _cached_payload(cache, key) if cache is not None else None
-        if payload is not None:
-            payloads[i] = payload
-        else:
-            pending.append(i)
+    results: List[Optional[RunResult]] = [CELL_DOC.load(cache, k) for k in keys]
+    pending = [i for i, result in enumerate(results) if result is None]
 
     icache = _resolve_image_cache(image_cache, cache)
     icache_root = str(icache.root) if icache is not None else None
@@ -378,25 +352,18 @@ def run_grid(
         )
 
     for i, payload in zip(pending, fresh):
-        payloads[i] = payload
-        if cache is not None:
-            cell = cells[i]
-            cache.put(
-                keys[i],
-                {
-                    "payload": payload,
-                    "meta": {
-                        "platform": cell.resolved_platform().name,
-                        "workload": cell.resolved_workload().name,
-                        "seed": seeds[i],
-                        "code_version": __version__,
-                    },
-                },
-            )
+        results[i] = CELL_DOC.store(
+            cache,
+            keys[i],
+            payload,
+            platform=cells[i].resolved_platform().name,
+            workload=cells[i].resolved_workload().name,
+            seed=seeds[i],
+        )
 
     pending_set = set(pending)
     return GridOutcome(
-        results=[result_from_payload(p) for p in payloads],
+        results=results,
         keys=keys,
         from_cache=[i not in pending_set for i in range(len(cells))],
         executed=len(pending),
@@ -420,8 +387,7 @@ def load_cached(
     out: List[Optional[RunResult]] = []
     for cell in cells:
         seed = cell.seed if cell.seed is not None else derive_cell_seed(base_seed, cell)
-        payload = _cached_payload(cache, cell_cache_key(cell, seed))
-        out.append(result_from_payload(payload) if payload is not None else None)
+        out.append(CELL_DOC.load(cache, cell_cache_key(cell, seed)))
     return out
 
 
@@ -443,16 +409,12 @@ def outcome_from_cache(
         for cell in cells
     ]
     keys = [cell_cache_key(cell, seed) for cell, seed in zip(cells, seeds)]
-    payloads = []
-    missing = []
-    for cell, key in zip(cells, keys):
-        payload = _cached_payload(cache, key)
-        if payload is None:
-            missing.append(
-                f"{cell.resolved_platform().name}/{cell.resolved_workload().name}"
-            )
-        else:
-            payloads.append(payload)
+    results = [CELL_DOC.load(cache, key) for key in keys]
+    missing = [
+        f"{cell.resolved_platform().name}/{cell.resolved_workload().name}"
+        for cell, result in zip(cells, results)
+        if result is None
+    ]
     if missing:
         raise KeyError(
             f"{len(missing)} of {len(cells)} cells not in result cache "
@@ -461,7 +423,7 @@ def outcome_from_cache(
             + " — run the sweep without --from-cache first"
         )
     return GridOutcome(
-        results=[result_from_payload(p) for p in payloads],
+        results=results,
         keys=keys,
         from_cache=[True] * len(cells),
         executed=0,

@@ -32,8 +32,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .. import __version__
-from ..cacheutil import stable_hash
+from ..cacheutil import CachedDocument
 from ..directgraph.layout import DEFAULT_LAYOUT, LAYOUTS
 from ..gnn.sampling import tree_capacity
 from ..partition import DEFAULT_PARTITIONER, PARTITIONERS, partition_graph
@@ -49,6 +48,7 @@ from .runner import DEFAULT_SCALED_NODES, PreparedWorkload
 __all__ = [
     "P2pLink",
     "ScaleOutResult",
+    "SCALEOUT_DOC",
     "ScaleOutOutcome",
     "run_scaleout",
     "scaleout_outcome",
@@ -215,6 +215,10 @@ class ScaleOutResult:
         )
 
 
+#: The whole-array document, stored beside its shard cells.
+SCALEOUT_DOC = CachedDocument("scaleout", 1, ScaleOutResult, "scaleout")
+
+
 @dataclass
 class ScaleOutOutcome:
     """A scale-out run plus its cache accounting.
@@ -255,8 +259,6 @@ def scaleout_cache_key(
     the defaults, so every pre-existing hash/node-order document keeps
     its key.
     """
-    from ..orchestrate.serialize import SCALEOUT_SCHEMA_VERSION
-
     run: Dict = {
         "num_devices": num_devices,
         "batch_size": batch_size,
@@ -270,11 +272,8 @@ def scaleout_cache_key(
         run["partitioner"] = partitioner
     if layout != DEFAULT_LAYOUT:
         run["layout"] = layout
-    return stable_hash(
+    return SCALEOUT_DOC.key(
         {
-            "kind": "scaleout",
-            "schema": SCALEOUT_SCHEMA_VERSION,
-            "code_version": __version__,
             "platform": platform,
             "workload": spec,
             "ssd_config": config,
@@ -361,8 +360,9 @@ def scaleout_outcome(
     (:data:`repro.directgraph.LAYOUTS`); layouts never change the
     sampled trees, only which flash pages the walks touch.
 
-    ``require_cached=True`` raises ``KeyError`` on a cache miss instead
-    of simulating (the warm-cache figure path).
+    ``require_cached=True`` raises ``KeyError`` on a miss of the array
+    document instead of simulating (the warm-cache figure path), and
+    ``ValueError`` without a ``cache``.
     """
     from ..directgraph import builder as _builder
     from ..directgraph import imagecache as _imagecache
@@ -373,8 +373,9 @@ def scaleout_outcome(
         adopt_prepared,
         run_grid,
     )
-    from ..orchestrate.serialize import scaleout_from_payload, scaleout_to_payload
 
+    if require_cached and cache is None:
+        raise ValueError("require_cached needs a result cache")
     if num_devices < 1:
         raise ValueError("need at least one device")
     if num_batches < 1:
@@ -441,14 +442,9 @@ def scaleout_outcome(
         partitioner=partitioner,
         layout=layout,
     )
-    if cache is not None:
-        document = cache.get(key)
-        if document is not None:
-            return ScaleOutOutcome(
-                result=scaleout_from_payload(document["payload"]),
-                key=key,
-                from_cache=True,
-            )
+    cached = SCALEOUT_DOC.load(cache, key)
+    if cached is not None:
+        return ScaleOutOutcome(result=cached, key=key, from_cache=True)
     if require_cached:
         raise KeyError(
             f"scale-out result {key[:12]}... not in result cache — "
@@ -568,26 +564,16 @@ def scaleout_outcome(
             partitioner if partitioner != DEFAULT_PARTITIONER else None
         ),
     )
-    # Fresh results take the same payload round trip a cache hit does, so
-    # the two are interchangeable bit for bit.
-    payload = scaleout_to_payload(result)
-    if cache is not None:
-        cache.put(
-            key,
-            {
-                "payload": payload,
-                "meta": {
-                    "kind": "scaleout",
-                    "platform": features.name,
-                    "workload": spec.name,
-                    "num_devices": num_devices,
-                    "seed": seed,
-                    "code_version": __version__,
-                },
-            },
-        )
     return ScaleOutOutcome(
-        result=scaleout_from_payload(payload),
+        result=SCALEOUT_DOC.store(
+            cache,
+            key,
+            SCALEOUT_DOC.to_payload(result),
+            platform=features.name,
+            workload=spec.name,
+            num_devices=num_devices,
+            seed=seed,
+        ),
         key=key,
         from_cache=False,
         shards_executed=grid.executed,

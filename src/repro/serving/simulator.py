@@ -33,6 +33,10 @@ vanishing offered load, every query dispatches alone on an idle slot, so
 its latency is exactly its run's ``total_seconds`` — and the cells are
 constructed identically to ``measure_query_latency`` (same seeds, same
 cache keys), which the differential suite pins bit-for-bit.
+
+A finished point is cached whole as a :data:`SERVING_DOC` document beside
+its batch cells, so re-rendering a sweep simulates nothing; an unusable
+document is a miss that re-renders from the cells.
 """
 
 from __future__ import annotations
@@ -42,9 +46,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple, Union
 
-from .. import __version__
 from ..cache.page import CacheConfig
-from ..cacheutil import stable_hash
+from ..cacheutil import CachedDocument
 from ..platforms.features import PlatformFeatures
 from ..platforms.registry import platform_by_name
 from ..platforms.result import RunResult
@@ -57,6 +60,7 @@ from .arrivals import ArrivalProcess
 
 __all__ = [
     "ServingResult",
+    "SERVING_DOC",
     "ServingOutcome",
     "BatchService",
     "serve",
@@ -76,8 +80,7 @@ class ServingResult:
     ``latencies_s``/``queue_waits_s`` list completed queries in arrival
     order; shed queries appear only in the ``shed`` count.
     ``batch_sizes`` lists queries per dispatched batch in dispatch
-    order. Round-trips losslessly through
-    :func:`repro.orchestrate.serialize.serving_to_payload`.
+    order. Round-trips losslessly through :data:`SERVING_DOC`.
     """
 
     platform: str
@@ -186,6 +189,10 @@ class ServingResult:
             makespan_s=float(data["makespan_s"]),
             last_arrival_s=float(data["last_arrival_s"]),
         )
+
+
+#: One serving measurement point, stored beside its batch cells.
+SERVING_DOC = CachedDocument("serving", 1, ServingResult, "serving")
 
 
 @dataclass
@@ -309,8 +316,6 @@ def serving_cache_key(
     page_cache: Optional[CacheConfig] = None,
 ) -> str:
     """Content-addressed cache key for one serving measurement point."""
-    from ..orchestrate.serialize import SERVING_SCHEMA_VERSION
-
     run = {
         "num_queries": num_queries,
         "query_batch_size": query_batch_size,
@@ -326,11 +331,8 @@ def serving_cache_key(
     if page_cache is not None:
         # included only when set: uncached serving points keep their keys
         run["page_cache"] = page_cache
-    return stable_hash(
+    return SERVING_DOC.key(
         {
-            "kind": "serving",
-            "schema": SERVING_SCHEMA_VERSION,
-            "code_version": __version__,
             "platform": platform,
             "workload": spec,
             "ssd_config": config,
@@ -385,7 +387,6 @@ def serve(
     latency–throughput knee — shift accordingly.
     """
     from ..orchestrate.grid import GridCell, adopt_prepared
-    from ..orchestrate.serialize import serving_from_payload, serving_to_payload
 
     if num_queries < 1:
         raise ValueError("need at least one query")
@@ -435,14 +436,9 @@ def serve(
         seed=seed,
         page_cache=page_cache,
     )
-    if cache is not None:
-        document = cache.get(key)
-        if document is not None:
-            return ServingOutcome(
-                result=serving_from_payload(document["payload"]),
-                key=key,
-                from_cache=True,
-            )
+    cached = SERVING_DOC.load(cache, key)
+    if cached is not None:
+        return ServingOutcome(result=cached, key=key, from_cache=True)
 
     if service is None:
         service = BatchService(
@@ -580,26 +576,16 @@ def serve(
         makespan_s=makespan,
         last_arrival_s=arrivals[-1],
     )
-    # Fresh results take the same payload round trip a cache hit does, so
-    # the two are interchangeable bit for bit.
-    payload_doc = serving_to_payload(result)
-    if cache is not None:
-        cache.put(
-            key,
-            {
-                "payload": payload_doc,
-                "meta": {
-                    "kind": "serving",
-                    "platform": features.name,
-                    "workload": spec.name,
-                    "offered_qps": result.offered_qps,
-                    "seed": seed,
-                    "code_version": __version__,
-                },
-            },
-        )
     return ServingOutcome(
-        result=serving_from_payload(payload_doc),
+        result=SERVING_DOC.store(
+            cache,
+            key,
+            SERVING_DOC.to_payload(result),
+            platform=features.name,
+            workload=spec.name,
+            offered_qps=result.offered_qps,
+            seed=seed,
+        ),
         key=key,
         from_cache=False,
         cells_executed=service.cells_executed - executed_before,

@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from repro.orchestrate import (
+    CELL_DOC,
     GridCell,
     auto_chunk_size,
     available_cpus,
@@ -26,7 +27,6 @@ from repro.orchestrate import (
     run_grid,
 )
 from repro.orchestrate.cache import json_default
-from repro.orchestrate.serialize import result_to_payload
 from repro.platforms import platform_names, run_platform
 
 GOLDEN = Path(__file__).parent / "data" / "golden_runresult_sha256.json"
@@ -57,7 +57,7 @@ def _one_shot(job):
         ssd_config=cell.resolved_config(),
         **cell.run_params(seed),
     )
-    return result_to_payload(result)
+    return CELL_DOC.to_payload(result)
 
 
 def tiny_cells(n=6, seed0=0):
@@ -156,9 +156,9 @@ class TestChunkedRunGrid:
     def test_differential_vs_serial(self, jobs):
         cells = tiny_cells(6)
         baseline = run_grid(cells, executor="serial")
-        expected = [_digest(result_to_payload(r)) for r in baseline.results]
+        expected = [_digest(CELL_DOC.to_payload(r)) for r in baseline.results]
         outcome = run_grid(cells, jobs=jobs, executor="process")
-        got = [_digest(result_to_payload(r)) for r in outcome.results]
+        got = [_digest(CELL_DOC.to_payload(r)) for r in outcome.results]
         assert got == expected
         assert outcome.executed == len(cells)
 
@@ -174,8 +174,8 @@ class TestChunkedRunGrid:
         baseline = run_grid(cells, executor="serial")
         outcome = run_grid(cells, jobs=1, executor="process")
         assert [
-            _digest(result_to_payload(r)) for r in outcome.results
-        ] == [_digest(result_to_payload(r)) for r in baseline.results]
+            _digest(CELL_DOC.to_payload(r)) for r in outcome.results
+        ] == [_digest(CELL_DOC.to_payload(r)) for r in baseline.results]
 
     def test_pool_chunks_are_auto_sized(self, monkeypatch):
         seen = {}
@@ -209,8 +209,8 @@ class TestChunkedRunGrid:
             "chunks": [[0, 1], [2, 3], [4, 5], [6, 7], [8]],
         }
         assert [
-            _digest(result_to_payload(r)) for r in outcome.results
-        ] == [_digest(result_to_payload(r)) for r in baseline.results]
+            _digest(CELL_DOC.to_payload(r)) for r in outcome.results
+        ] == [_digest(CELL_DOC.to_payload(r)) for r in baseline.results]
 
     def test_chunked_results_flow_through_cache(self, tmp_path):
         from repro.orchestrate import ResultCache
@@ -222,8 +222,8 @@ class TestChunkedRunGrid:
         warm = run_grid(cells, jobs=2, executor="process", cache=cache)
         assert warm.executed == 0 and warm.cache_hits == 4
         assert [
-            _digest(result_to_payload(r)) for r in warm.results
-        ] == [_digest(result_to_payload(r)) for r in cold.results]
+            _digest(CELL_DOC.to_payload(r)) for r in warm.results
+        ] == [_digest(CELL_DOC.to_payload(r)) for r in cold.results]
 
 
 class TestSizingHelpers:

@@ -35,12 +35,8 @@ from tools.capture_golden import (  # noqa: E402
 )
 
 from repro.cache import CacheConfig, replay_trace, sweep_cache  # noqa: E402
-from repro.orchestrate import ResultCache  # noqa: E402
+from repro.orchestrate import CELL_DOC, ResultCache  # noqa: E402
 from repro.orchestrate.cache import json_default  # noqa: E402
-from repro.orchestrate.serialize import (  # noqa: E402
-    result_from_payload,
-    result_to_payload,
-)
 from repro.platforms import (  # noqa: E402
     PLATFORMS,
     PreparedWorkload,
@@ -65,7 +61,7 @@ def prepared():
 
 def digest(platform, prepared, **kwargs):
     result = run_platform(platform, prepared, **GOLDEN_PARAMS, **kwargs)
-    payload = result_to_payload(result)
+    payload = CELL_DOC.to_payload(result)
     blob = json.dumps(
         payload, sort_keys=True, separators=(",", ":"), default=json_default
     ).encode()
@@ -164,7 +160,7 @@ def test_cache_block_round_trips_through_payload(prepared):
         sample_trace=True,
         page_cache=CacheConfig(capacity_mb=CACHE_MB),
     )
-    restored = result_from_payload(result_to_payload(result))
+    restored = CELL_DOC.from_payload(CELL_DOC.to_payload(result))
     assert restored.cache == result.cache
     assert len(restored.sample_trace) == len(result.sample_trace)
     for a, b in zip(restored.sample_trace, result.sample_trace):

@@ -363,6 +363,20 @@ class TestOrchestrationCommands:
         ) == 2
         assert "cache" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["scaleout", "serve", "cache-ablation"])
+    def test_from_cache_without_the_cache_is_a_usage_error(
+        self, capsys, tmp_path, command
+    ):
+        with pytest.raises(SystemExit) as exit_:
+            main(
+                [command, "--workload", "ogbn", "--nodes", "256",
+                 "--cache-dir", str(tmp_path), "--no-cache", "--from-cache"]
+            )
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "--from-cache" in err
+        assert list(tmp_path.iterdir()) == []  # nothing simulated or written
+
     def test_serve_slo_gate(self, capsys, tmp_path):
         argv = [
             "serve", "--platform", "bg2", "--workload", "ogbn",

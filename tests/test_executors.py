@@ -23,9 +23,8 @@ from repro.orchestrate.executors import (
     executor_names,
     resolve_executor,
 )
-from repro.orchestrate import ResultCache
+from repro.orchestrate import CELL_DOC, ResultCache
 from repro.orchestrate.grid import GridCell, run_grid
-from repro.orchestrate.serialize import result_to_payload
 
 TINY = dict(
     batch_size=8,
@@ -52,7 +51,7 @@ def tiny_cells(n=3, seed0=0):
 
 def _digest(outcome) -> str:
     blob = json.dumps(
-        [result_to_payload(r) for r in outcome.results],
+        [CELL_DOC.to_payload(r) for r in outcome.results],
         sort_keys=True,
         separators=(",", ":"),
     )
@@ -122,8 +121,8 @@ class TestBackendIdentity:
             for cell in cells
         ]
         batched_run = run_grid(cells, jobs=1, executor="serial")
-        assert [result_to_payload(r) for r in per_cell] == [
-            result_to_payload(r) for r in batched_run.results
+        assert [CELL_DOC.to_payload(r) for r in per_cell] == [
+            CELL_DOC.to_payload(r) for r in batched_run.results
         ]
 
     def test_run_grid_rejects_unknown_executor(self):

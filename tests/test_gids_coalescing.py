@@ -15,8 +15,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.orchestrate import CELL_DOC
 from repro.orchestrate.cache import json_default
-from repro.orchestrate.serialize import result_to_payload
 from repro.platforms import (
     PreparedWorkload,
     coalesce_warps,
@@ -106,7 +106,7 @@ def prepared():
 
 def blob(result) -> bytes:
     return json.dumps(
-        result_to_payload(result),
+        CELL_DOC.to_payload(result),
         sort_keys=True,
         separators=(",", ":"),
         default=json_default,

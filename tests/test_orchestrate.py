@@ -3,20 +3,24 @@
 from __future__ import annotations
 
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.bench import read_results, result_to_dict, write_results
 from repro.orchestrate import (
-    RESULT_SCHEMA_VERSION,
+    CELL_DOC,
     GridCell,
     ResultCache,
     cell_cache_key,
     derive_cell_seed,
     load_cached,
     outcome_from_cache,
-    result_from_payload,
-    result_to_payload,
     run_grid,
     stable_hash,
 )
@@ -58,6 +62,41 @@ class TestStableHash:
             stable_hash(object())
 
 
+# Prints one key of every kind for fixed inputs: cell, scale-out,
+# serving, cache-ablation and DirectGraph image.
+PRINT_KEYS = """
+import sys
+from repro.cache import cache_ablation_key
+from repro.directgraph import FormatSpec, ImageCache
+from repro.orchestrate import GridCell, cell_cache_key
+from repro.platforms import platform_by_name
+from repro.platforms.scaleout import P2pLink, scaleout_cache_key
+from repro.serving import serving_cache_key
+from repro.ssd import ull_ssd
+from repro.workloads import workload_by_name
+
+bg2, ssd = platform_by_name("bg2"), ull_ssd()
+spec = workload_by_name("ogbn").scaled(256)
+run = dict(num_hops=2, fanout=2, seed=0)
+print(cell_cache_key(GridCell("bg2", "ogbn", scaled_nodes=256), 0))
+print(scaleout_cache_key(
+    2, bg2, spec, ssd, batch_size=8, num_batches=1,
+    cross_partition_fraction=None, link=P2pLink(), **run,
+))
+print(serving_cache_key(
+    bg2, spec, ssd, {"kind": "poisson", "rate_qps": 300.0, "seed": 0},
+    num_queries=4, query_batch_size=1, max_batch=1, batch_timeout_s=0.0,
+    queue_depth=64, max_live=1, scaled_nodes=256, **run,
+))
+print(cache_ablation_key(
+    bg2, spec, ssd, capacities_mb=[0.25], policies=["lru"],
+    hit_latency_s=3.5e-7, batch_size=8, num_batches=1, scaled_nodes=256, **run,
+))
+fmt = FormatSpec(feature_dim=spec.feature_dim)
+print(ImageCache(sys.argv[1]).key_for(spec, 4096, fmt))
+"""
+
+
 class TestCacheKeys:
     def test_name_and_object_forms_agree(self):
         by_name = GridCell(platform="bg2", workload="ogbn", **TINY)
@@ -85,12 +124,46 @@ class TestCacheKeys:
         assert derive_cell_seed(0, a) != derive_cell_seed(0, b)
         assert derive_cell_seed(0, a) != derive_cell_seed(1, a)
 
+    def test_every_key_kind_tracks_the_source(self, tmp_path):
+        """An edit no config covers still changes every kind of key."""
+        package = Path(repro.__file__).resolve().parent
+        copies = {}
+        for name in ("unedited", "edited"):
+            copies[name] = tmp_path / name
+            shutil.copytree(
+                package,
+                copies[name] / "repro",
+                ignore=shutil.ignore_patterns("__pycache__"),
+            )
+        coefficients = copies["edited"] / "repro" / "energy" / "coefficients.py"
+        source = coefficients.read_text()
+        line = "flash_read_uj_per_page: float = 0.6"
+        assert line in source
+        coefficients.write_text(source.replace(line, line + "01"))
+
+        def keys(root: Path) -> list:
+            env = {**os.environ, "PYTHONPATH": str(root)}
+            out = subprocess.run(
+                [sys.executable, "-c", PRINT_KEYS, str(tmp_path / "images")],
+                env=env,
+                capture_output=True,
+                text=True,
+                check=True,
+            )
+            return out.stdout.split()
+
+        tree = keys(package.parent)
+        assert len(tree) == 5
+        assert keys(copies["unedited"]) == tree
+        edited = keys(copies["edited"])
+        assert all(a != b for a, b in zip(edited, tree)), (edited, tree)
+
 
 class TestResultSerialization:
     def test_payload_roundtrip_is_lossless(self, tiny_result):
-        payload = result_to_payload(tiny_result)
-        restored = result_from_payload(payload)
-        assert result_to_payload(restored) == payload
+        payload = CELL_DOC.to_payload(tiny_result)
+        restored = CELL_DOC.from_payload(payload)
+        assert CELL_DOC.to_payload(restored) == payload
         # restored results answer every derived query identically
         assert restored.summary() == tiny_result.summary()
         assert result_to_dict(restored) == result_to_dict(tiny_result)
@@ -98,14 +171,14 @@ class TestResultSerialization:
         assert restored.command_breakdown() == tiny_result.command_breakdown()
 
     def test_payload_is_plain_json(self, tiny_result):
-        payload = result_to_payload(tiny_result)
+        payload = CELL_DOC.to_payload(tiny_result)
         assert json.loads(json.dumps(payload)) == payload
 
     def test_schema_mismatch_rejected(self, tiny_result):
-        payload = result_to_payload(tiny_result)
+        payload = CELL_DOC.to_payload(tiny_result)
         payload["schema"] = 999
         with pytest.raises(ValueError):
-            result_from_payload(payload)
+            CELL_DOC.from_payload(payload)
 
     def test_write_read_results_roundtrip(self, tiny_result, tmp_path):
         path = write_results([tiny_result], tmp_path / "results.json")
@@ -362,21 +435,77 @@ class TestOutcomeFromCache:
             outcome_from_cache([hit, miss], cache)
 
 
-# Entries that parse as JSON but are not a cell document of this schema.
+# Entries that parse as JSON but are not a document of this schema.
 WRONG_SHAPES = [
     "{}",
     "[]",
     '"x"',
     '{"payload": null}',
+    '{"payload": {}}',
     '{"payload": {"schema": 0}}',
-    json.dumps({"payload": {"schema": RESULT_SCHEMA_VERSION}}),  # no result
+    json.dumps({"payload": {"schema": CELL_DOC.schema}}),  # no result
 ]
+
+
+def _scaleout_document(cache):
+    from repro.platforms import scaleout_outcome
+
+    spec = workload_by_name("ogbn").scaled(256)
+    out = scaleout_outcome(2, "bg2", spec, cache=cache, batch_size=8, num_batches=1)
+    return out, out.result, out.shards_executed, out.shard_cache_hits
+
+
+def _serving_document(cache):
+    from repro.serving import PoissonArrivals, serve
+
+    out = serve(
+        "bg2",
+        workload_by_name("ogbn").scaled(256),
+        PoissonArrivals(rate_qps=300.0),
+        num_queries=4,
+        cache=cache,
+    )
+    return out, out.result, out.cells_executed, out.cell_cache_hits
+
+
+def _ablation_document(cache):
+    from repro.cache import sweep_cache
+
+    out = sweep_cache(
+        "bg2",
+        "ogbn",
+        capacities_mb=(0.25,),
+        policies=("lru",),
+        batch_size=8,
+        num_batches=1,
+        scaled_nodes=256,
+        cache=cache,
+    )
+    return out, out.sweep, out.cells_executed, out.cell_cache_hits
+
+
+# Each returns (outcome, result, cells simulated, cells from cache).
+DOCUMENT_RUNS = {
+    "scaleout": _scaleout_document,
+    "serving": _serving_document,
+    "cache_ablation": _ablation_document,
+}
+
+
+@pytest.fixture(scope="module")
+def cold_documents(tmp_path_factory):
+    """One cold run of each document kind, with the cache it filled."""
+    runs = {}
+    for kind, run in DOCUMENT_RUNS.items():
+        root = tmp_path_factory.mktemp(kind)
+        runs[kind] = (root, run(ResultCache(root)))
+    return runs
 
 
 class TestWrongShapeEntries:
     """A cache entry that parses but has the wrong shape is a miss."""
 
-    # The last two parse to a payload object; the schema check rejects them.
+    # The last three parse to a payload object; the schema check rejects them.
     @pytest.mark.parametrize("content", WRONG_SHAPES[:4])
     def test_get_returns_none(self, tmp_path, content):
         cache = ResultCache(tmp_path)
@@ -402,6 +531,22 @@ class TestWrongShapeEntries:
         assert [r.to_dict() for r in again.results] == [
             r.to_dict() for r in cold.results
         ]
+
+    @pytest.mark.parametrize("content", WRONG_SHAPES)
+    @pytest.mark.parametrize("kind", sorted(DOCUMENT_RUNS))
+    def test_document_entry_is_a_miss(self, tmp_path, cold_documents, kind, content):
+        root, (cold, cold_result, simulated, _hits) = cold_documents[kind]
+        cache = ResultCache(shutil.copytree(root, tmp_path / "cache"))
+        path = cache.path_for(cold.key)
+        entry = path.read_bytes()
+        path.write_text(content)
+
+        again, result, executed, hits = DOCUMENT_RUNS[kind](cache)
+        # re-rendered from the cached cells, nothing simulated
+        assert not again.from_cache
+        assert executed == 0 and hits == simulated > 0
+        assert path.read_bytes() == entry  # rewritten, byte for byte
+        assert result.to_dict() == cold_result.to_dict()
 
 
 class TestScaleOutCache:
@@ -469,12 +614,21 @@ class TestScaleOutCache:
                 2, "bg2", spec, cache=cache, require_cached=True, **self.PARAMS
             )
 
+    def test_require_cached_needs_a_cache(self):
+        from repro.platforms import scaleout_outcome
+
+        spec = workload_by_name("ogbn").scaled(256)
+        with pytest.raises(ValueError, match="require_cached needs a result cache"):
+            scaleout_outcome(
+                2, "bg2", spec, cache=None, require_cached=True, **self.PARAMS
+            )
+
     def test_scaleout_schema_mismatch_rejected(self, tmp_path):
-        from repro.orchestrate import scaleout_from_payload, scaleout_to_payload
+        from repro.platforms.scaleout import SCALEOUT_DOC
 
         cache = ResultCache(tmp_path)
-        payload = scaleout_to_payload(self.outcome(cache).result)
+        payload = SCALEOUT_DOC.to_payload(self.outcome(cache).result)
         assert json.loads(json.dumps(payload)) == payload  # plain JSON
         payload["schema"] = 999
         with pytest.raises(ValueError):
-            scaleout_from_payload(payload)
+            SCALEOUT_DOC.from_payload(payload)

@@ -36,8 +36,7 @@ from repro.platforms import (
     run_platform,
     run_scaleout,
 )
-from repro.platforms.scaleout import scaleout_cache_key
-from repro.orchestrate import scaleout_from_payload, scaleout_to_payload
+from repro.platforms.scaleout import SCALEOUT_DOC, scaleout_cache_key
 from repro.workloads import workload_by_name
 
 DEVICES = 4
@@ -243,14 +242,14 @@ class TestRoutedScaleOut:
     def test_partitioner_round_trips_in_payload(self, arrays):
         routed = arrays["label-prop"]
         assert routed.partitioner == "label-prop"
-        restored = scaleout_from_payload(scaleout_to_payload(routed))
+        restored = SCALEOUT_DOC.from_payload(SCALEOUT_DOC.to_payload(routed))
         assert restored.partitioner == "label-prop"
         assert restored.link_vectors == routed.link_vectors
 
     def test_hash_payload_stays_schema_identical(self, arrays):
-        payload = scaleout_to_payload(arrays["hash"])
+        payload = SCALEOUT_DOC.to_payload(arrays["hash"])
         assert "partitioner" not in payload["scaleout"]
-        assert scaleout_from_payload(payload).partitioner is None
+        assert SCALEOUT_DOC.from_payload(payload).partitioner is None
 
     def test_cache_key_conditional_on_new_knobs(self, prepared):
         from repro.platforms import platform_by_name

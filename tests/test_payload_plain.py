@@ -1,13 +1,15 @@
-"""Cell payloads are plain JSON values by construction.
+"""Result payloads are plain JSON values by construction.
 
-``result_to_payload`` hands its dict as built to the result cache and
-the process pool; no JSON round trip normalizes it first.
+Every :class:`~repro.cacheutil.CachedDocument` hands its payload as
+built to the result cache (and a cell payload to the process pool); no
+JSON round trip normalizes it first.
 These tests pin what such a round trip would guarantee:
 
 * every payload equals its own ``json.loads(json.dumps(...))`` type for
   type (``1`` against ``1.0``, a tuple against a list or a numpy scalar
   against a float all fail) and key order for key order, on every
-  platform and with every optional result block;
+  platform and with every optional result block, and for each kind of
+  scale-out, serving and ablation document;
 * decoding a payload and encoding it again gives the payload back, type
   for type and key for key, once integer meters are floats (decoding
   normalizes them, so a decoded document is a fixpoint) — for cell
@@ -17,8 +19,8 @@ These tests pin what such a round trip would guarantee:
   field, in declaration order, with the values ``dataclasses.asdict``
   gives;
 * fresh and cached grid results are type-exactly equal under both local
-  backends (key order aside: cache entries are written with sorted
-  keys).
+  backends, and so are fresh and cached documents (key order aside:
+  cache entries are written with sorted keys).
 """
 
 import dataclasses
@@ -27,13 +29,13 @@ import json
 import numpy as np
 import pytest
 
-from repro.cache import CacheConfig
-from repro.orchestrate import GridCell, ResultCache, run_grid
-from repro.orchestrate.serialize import result_to_payload
+from repro.cache import CacheConfig, sweep_cache
+from repro.orchestrate import CELL_DOC, GridCell, ResultCache, run_grid
 from repro.platforms import PreparedWorkload, platform_names, run_platform
 from repro.platforms.background import BackgroundIoConfig
 from repro.platforms.result import BatchTiming, RunResult
-from repro.platforms.scaleout import ScaleOutResult, run_scaleout
+from repro.platforms.scaleout import ScaleOutResult, run_scaleout, scaleout_outcome
+from repro.serving import OnOffArrivals, PoissonArrivals, TraceArrivals, serve
 from repro.sim.stats import StageRecord
 from repro.workloads import workload_by_name
 
@@ -50,6 +52,37 @@ VARIANTS = {
         "background_io": BackgroundIoConfig(rate_per_s=200_000, deferred=False)
     },
     "ragged_targets": {"targets": [[1, 2, 3], []]},
+}
+SMALL = dict(num_hops=2, fanout=2)
+# Each document kind, fresh or cached, in the shapes its options give.
+DOCUMENTS = {
+    "scaleout-hash": lambda w, cache: scaleout_outcome(
+        2, "bg2", w, batch_size=8, num_batches=1, cache=cache, **SMALL
+    ),
+    "scaleout-label-prop": lambda w, cache: scaleout_outcome(
+        2, "bg2", w, batch_size=8, num_batches=1, cache=cache,
+        partitioner="label-prop", **SMALL,
+    ),
+    "scaleout-analytic": lambda w, cache: scaleout_outcome(
+        2, "bg2", w, batch_size=8, num_batches=1, cache=cache,
+        cross_partition_fraction=0.25, **SMALL,
+    ),
+    "serving-poisson": lambda w, cache: serve(
+        "bg2", w, PoissonArrivals(rate_qps=300.0), num_queries=4, cache=cache,
+        **SMALL,
+    ),
+    "serving-onoff": lambda w, cache: serve(
+        "bg2", w, OnOffArrivals.for_average(300.0, on_s=0.002, off_s=0.008),
+        num_queries=4, max_batch=2, batch_timeout_s=1e-4, cache=cache, **SMALL,
+    ),
+    "serving-trace": lambda w, cache: serve(
+        "bg2", w, TraceArrivals(times_s=(0.0, 1e-5, 2e-3)), num_queries=3,
+        cache=cache, **SMALL,
+    ),
+    "cache-ablation": lambda w, cache: sweep_cache(
+        "bg2", w, capacities_mb=(0.25, 1.0), policies=("lru",), batch_size=8,
+        num_batches=1, cache=cache, **SMALL,
+    ),
 }
 
 
@@ -91,7 +124,7 @@ def test_type_exact_compare_rejects_what_json_would_change():
 @pytest.mark.parametrize("platform", platform_names())
 def test_payload_survives_json_unchanged(prepared, platform, variant):
     result = run_platform(platform, prepared, **PARAMS, **VARIANTS[variant])
-    payload = result_to_payload(result)
+    payload = CELL_DOC.to_payload(result)
     assert_type_exact(payload, json.loads(json.dumps(payload)))
     # decoding normalizes integer meters to floats, and nothing else
     decoded = RunResult.from_dict(payload["result"]).to_dict()
@@ -160,3 +193,28 @@ def test_fresh_and_cached_results_are_type_exact(tmp_path, executor):
         # Cache entries are written with sorted keys, so only a fresh
         # result keeps the simulation's key order.
         assert_type_exact(fresh.to_dict(), cached.to_dict(), ordered=False)
+
+
+class RecordingCache(ResultCache):
+    """A result cache that also keeps each document as it was handed over."""
+
+    def __init__(self, root):
+        super().__init__(root)
+        self.written = {}
+
+    def put(self, key, document):
+        self.written[key] = document
+        return super().put(key, document)
+
+
+@pytest.mark.parametrize("name", sorted(DOCUMENTS))
+def test_document_payload_survives_json_unchanged(prepared, tmp_path, name):
+    cache = RecordingCache(tmp_path)
+    fresh = DOCUMENTS[name](prepared, cache)
+    cached = DOCUMENTS[name](prepared, cache)
+    assert not fresh.from_cache and cached.from_cache
+    payload = cache.written[fresh.key]["payload"]
+    assert_type_exact(payload, json.loads(json.dumps(payload)))
+    # an ablation outcome holds its result as .sweep, the others as .result
+    fresh, cached = (getattr(o, "result", None) or o.sweep for o in (fresh, cached))
+    assert_type_exact(fresh.to_dict(), cached.to_dict(), ordered=False)

@@ -31,11 +31,10 @@ import numpy as np
 import pytest
 
 from repro.cache import CacheConfig
-from repro.orchestrate import GridCell, adopt_prepared
+from repro.orchestrate import CELL_DOC, GridCell, adopt_prepared
 from repro.orchestrate.batched import execute_batch
 from repro.orchestrate.cache import json_default
 from repro.orchestrate.grid import cell_cache_key
-from repro.orchestrate.serialize import result_from_payload, result_to_payload
 from repro.platforms import (
     PLATFORMS,
     PlatformRun,
@@ -70,7 +69,7 @@ def results(prepared):
 
 def payload_blob(result) -> bytes:
     return json.dumps(
-        result_to_payload(result),
+        CELL_DOC.to_payload(result),
         sort_keys=True,
         separators=(",", ":"),
         default=json_default,
@@ -150,7 +149,7 @@ class TestPayloadRoundTrip:
     @pytest.mark.parametrize("name", platform_names())
     def test_payload_preserves_semantics(self, results, name):
         result = results[name]
-        restored = result_from_payload(json.loads(payload_blob(result)))
+        restored = CELL_DOC.from_payload(json.loads(payload_blob(result)))
         assert restored.platform == result.platform
         assert restored.workload == result.workload
         assert restored.total_seconds == result.total_seconds
@@ -166,9 +165,9 @@ class TestPayloadRoundTrip:
         """Deserializing normalizes integer-typed meters to floats once;
         from then on serialize -> restore -> serialize is byte-stable
         (what the content-addressed result cache relies on)."""
-        restored = result_from_payload(json.loads(payload_blob(results[name])))
+        restored = CELL_DOC.from_payload(json.loads(payload_blob(results[name])))
         blob = payload_blob(restored)
-        again = result_from_payload(json.loads(blob))
+        again = CELL_DOC.from_payload(json.loads(blob))
         assert payload_blob(again) == blob
 
 
@@ -285,7 +284,7 @@ class TestFinishedCellIsFreedByRefcount:
     def test_platform_run_leaves_no_cyclic_garbage(self, prepared, name, variant):
         def cell():
             run = PlatformRun(name, prepared, **PARAMS, **GARBAGE_VARIANTS[variant])
-            return result_to_payload(run.run())
+            return CELL_DOC.to_payload(run.run())
 
         payload, left = cyclic_garbage(cell)
         assert payload["result"]["platform"] == name

@@ -31,11 +31,8 @@ from tools.capture_scaleout_golden import (  # noqa: E402
 )
 
 from repro.gnn.sampling import tree_capacity  # noqa: E402
-from repro.orchestrate import (  # noqa: E402
-    scaleout_from_payload,
-    scaleout_to_payload,
-)
 from repro.platforms.scaleout import (  # noqa: E402
+    SCALEOUT_DOC,
     partition_nodes,
     run_scaleout,
     shard_batch_sizes,
@@ -90,8 +87,8 @@ def test_repeated_runs_bit_identical(prepared):
 
 
 def test_payload_round_trip_lossless(sharded):
-    payload = scaleout_to_payload(sharded)
-    restored = scaleout_from_payload(payload)
+    payload = SCALEOUT_DOC.to_payload(sharded)
+    restored = SCALEOUT_DOC.from_payload(payload)
     assert restored.to_dict() == sharded.to_dict()
     # the per-shard sampling traces (packed int32 arrays) survive the trip
     for r, s in zip(restored.per_device, sharded.per_device):

@@ -20,13 +20,8 @@ import math
 
 import pytest
 
-from repro.orchestrate import ResultCache, execute_batch
+from repro.orchestrate import CELL_DOC, ResultCache, execute_batch
 from repro.orchestrate.cache import json_default
-from repro.orchestrate.serialize import (
-    result_to_payload,
-    serving_from_payload,
-    serving_to_payload,
-)
 from repro.platforms.query import measure_query_latency
 from repro.quantile import latency_summary, mean, percentile
 from repro.serving import (
@@ -39,6 +34,7 @@ from repro.serving import (
     serve,
     sweep_serving,
 )
+from repro.serving.simulator import SERVING_DOC
 from repro.workloads import workload_by_name
 
 SPEC = workload_by_name("ogbn").scaled(256)
@@ -418,8 +414,8 @@ class TestClosedLoopDifferential:
             for q in range(num_queries)
         ]
         grid = run_grid(cells)
-        expected = [_digest(result_to_payload(r)) for r in grid.results]
-        got = [_digest(result_to_payload(r)) for r in out.batch_results]
+        expected = [_digest(CELL_DOC.to_payload(r)) for r in grid.results]
+        got = [_digest(CELL_DOC.to_payload(r)) for r in out.batch_results]
         assert got == expected
 
     @pytest.mark.parametrize("jobs,executor", [(1, None), (2, None), (2, "serial")])
@@ -457,8 +453,8 @@ class TestClosedLoopDifferential:
             num_queries=5,
             cache=ResultCache(tmp_path / "b"),
         )
-        assert _digest(serving_to_payload(a.result)) == _digest(
-            serving_to_payload(b.result)
+        assert _digest(SERVING_DOC.to_payload(a.result)) == _digest(
+            SERVING_DOC.to_payload(b.result)
         )
 
 
@@ -526,14 +522,14 @@ class TestServingCache:
             num_queries=3,
             cache=ResultCache(tmp_path / "cache"),
         )
-        clone = serving_from_payload(serving_to_payload(out.result))
+        clone = SERVING_DOC.from_payload(SERVING_DOC.to_payload(out.result))
         assert clone.to_dict() == out.result.to_dict()
 
     def test_bad_payload_schema_rejected(self):
         with pytest.raises(ValueError):
-            serving_from_payload({"schema": 999, "serving": {}})
+            SERVING_DOC.from_payload({"schema": 999, "serving": {}})
         with pytest.raises(ValueError):
-            serving_from_payload({"schema": 1})
+            SERVING_DOC.from_payload({"schema": 1})
 
 
 class TestSweepAndKnee:

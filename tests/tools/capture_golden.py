@@ -19,8 +19,8 @@ import json
 import sys
 from pathlib import Path
 
+from repro.orchestrate import CELL_DOC
 from repro.orchestrate.cache import json_default
-from repro.orchestrate.serialize import result_to_payload
 from repro.platforms import PLATFORMS, PreparedWorkload, run_platform
 from repro.workloads import workload_by_name
 
@@ -41,7 +41,7 @@ GOLDEN_WORKLOAD = "ogbn"
 
 def payload_digest(platform: str, prepared: PreparedWorkload) -> str:
     result = run_platform(platform, prepared, **GOLDEN_PARAMS)
-    payload = result_to_payload(result)
+    payload = CELL_DOC.to_payload(result)
     blob = json.dumps(
         payload, sort_keys=True, separators=(",", ":"), default=json_default
     ).encode()

@@ -21,9 +21,8 @@ import sys
 from pathlib import Path
 
 from repro.orchestrate.cache import json_default
-from repro.orchestrate.serialize import scaleout_to_payload
 from repro.platforms import PreparedWorkload
-from repro.platforms.scaleout import run_scaleout
+from repro.platforms.scaleout import SCALEOUT_DOC, run_scaleout
 from repro.workloads import workload_by_name
 
 FIXTURE = (
@@ -56,7 +55,7 @@ def scaleout_digest(
     result = run_scaleout(
         num_devices, GOLDEN_PLATFORM, prepared, jobs=jobs, **params
     )
-    payload = scaleout_to_payload(result)
+    payload = SCALEOUT_DOC.to_payload(result)
     blob = json.dumps(
         payload, sort_keys=True, separators=(",", ":"), default=json_default
     ).encode()
