@@ -19,13 +19,14 @@ import dataclasses
 import functools
 import hashlib
 import json
+import math
 import numbers
 import os
 import socket
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Callable, Dict, Optional
+from typing import BinaryIO, Callable, Dict, Optional, Tuple
 
 __all__ = [
     "json_default",
@@ -53,10 +54,9 @@ def json_default(obj):
 def _canonicalize(obj):
     """Reduce configs/specs to plain JSON values with deterministic shape."""
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {
-            f.name: _canonicalize(getattr(obj, f.name))
-            for f in dataclasses.fields(obj)
-        }
+        if type(obj).__dataclass_params__.frozen:
+            return _canonical_frozen(obj)
+        return _dataclass_form(obj)
     if isinstance(obj, dict):
         return {str(k): _canonicalize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -68,6 +68,55 @@ def _canonicalize(obj):
     if isinstance(obj, numbers.Real):
         return float(obj)
     raise TypeError(f"cannot hash {type(obj).__name__} into a cache key")
+
+
+def _dataclass_form(obj) -> Dict:
+    return {
+        f.name: _canonicalize(getattr(obj, f.name))
+        for f in dataclasses.fields(obj)
+    }
+
+
+# Canonical forms of the frozen configs every key holds (SSDConfig,
+# PlatformFeatures, WorkloadSpec, CacheConfig, ...), by value: equal
+# configs built apart share one entry. Read-only once stored.
+_CANONICAL: Dict[object, Tuple[object, Dict]] = {}
+_CANONICAL_MAX = 1024
+
+
+def _canonical_frozen(obj) -> Dict:
+    try:
+        hit = _CANONICAL.get(obj)
+    except TypeError:  # an unhashable field value: nothing to share
+        return _dataclass_form(obj)
+    if hit is not None and (hit[0] is obj or _same_values(hit[0], obj)):
+        return hit[1]
+    form = _dataclass_form(obj)
+    if len(_CANONICAL) >= _CANONICAL_MAX:
+        _CANONICAL.clear()
+    _CANONICAL[obj] = (obj, form)
+    return form
+
+
+def _same_values(a, b) -> bool:
+    """``a == b`` with every value of the same type too.
+
+    Config equality is not enough to share a canonical form: ``1``,
+    ``1.0`` and ``True`` are equal, as are ``0.0`` and ``-0.0``, yet each
+    canonicalizes differently.
+    """
+    if type(a) is not type(b):
+        return False
+    if dataclasses.is_dataclass(a):
+        return all(
+            _same_values(getattr(a, f.name), getattr(b, f.name))
+            for f in dataclasses.fields(a)
+        )
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(map(_same_values, a, b))
+    if isinstance(a, float):
+        return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+    return a == b
 
 
 def stable_hash(obj) -> str:

@@ -6,7 +6,9 @@ executable specification of the on-flash layout. The production builder
 rewrite whose output is required to be **byte-identical** to this one:
 ``tests/test_directgraph_vectorized.py`` property-checks page bytes,
 ``NodePlan``/``PagePlan`` geometry, and ``BuildStats`` against this
-module on randomized graphs, and ``repro perf --suite prepare`` with
+module on randomized graphs (the production image holds arrays;
+:func:`image_from_plans` turns this module's plan objects into the same
+arrays), and ``repro perf --suite prepare`` with
 ``--prepare-impl reference`` times it to produce the "before" column of
 ``BENCH_prepare.json``.
 
@@ -39,7 +41,7 @@ from .spec import (
     SECTION_TYPE_SECONDARY,
 )
 
-__all__ = ["build_directgraph_reference"]
+__all__ = ["build_directgraph_reference", "image_from_plans"]
 
 
 def _plan_node_sections(
@@ -212,22 +214,69 @@ def build_directgraph_reference(
         used_bytes=sum(p.used_bytes for p in packer.pages)
         + spec.page_header_bytes * len(packer.pages),
     )
-    image = DirectGraphImage(spec, node_plans, packer.pages, stats)
+    pages = None
     if serialize:
-        image.pages = _serialize_pages_reference(image, graph, features)
-    return image
+        pages = _serialize_pages_reference(
+            spec, node_plans, packer.pages, graph, features
+        )
+    return image_from_plans(spec, stats, node_plans, packer.pages, pages)
+
+
+def image_from_plans(
+    spec: FormatSpec,
+    stats: BuildStats,
+    node_plans: Sequence[NodePlan],
+    page_plans: Sequence[PagePlan],
+    pages: Optional[Dict[int, bytes]] = None,
+) -> DirectGraphImage:
+    """The image whose arrays hold these node-id indexed plan objects."""
+    sec_indptr = np.zeros(len(node_plans) + 1, dtype=np.int64)
+    sec_indptr[1:] = np.cumsum([plan.n_secondary for plan in node_plans])
+    entry_indptr = np.zeros(len(page_plans) + 1, dtype=np.int64)
+    entry_indptr[1:] = np.cumsum([page.n_sections for page in page_plans])
+    secondaries = [
+        (count, addr)
+        for plan in node_plans
+        for count, addr in zip(plan.secondary_counts, plan.secondary_addrs)
+    ]
+    entries = [entry for page in page_plans for entry in page.entries]
+
+    def column(values, dtype=np.int64) -> np.ndarray:
+        return np.array(list(values), dtype=dtype)
+
+    return DirectGraphImage(
+        spec,
+        stats,
+        degree=column(plan.degree for plan in node_plans),
+        n_inline=column(plan.n_inline for plan in node_plans),
+        prim_page=column(plan.primary_addr.page for plan in node_plans),
+        prim_sec=column(plan.primary_addr.section for plan in node_plans),
+        sec_indptr=sec_indptr,
+        sec_counts=column(count for count, _ in secondaries),
+        sec_pages=column(addr.page for _, addr in secondaries),
+        sec_sections=column(addr.section for _, addr in secondaries),
+        page_index=column(page.page_index for page in page_plans),
+        page_type=column((page.page_type for page in page_plans), np.uint8),
+        entry_indptr=entry_indptr,
+        entry_node=column(node for node, _, _ in entries),
+        entry_kind=column((kind for _, kind, _ in entries), np.uint8),
+        entry_ordinal=column(ordinal for _, _, ordinal in entries),
+        entry_size=column(size for page in page_plans for size in page.sizes),
+        pages=pages,
+    )
 
 
 def _serialize_pages_reference(
-    image: DirectGraphImage, graph: Graph, features: FeatureTable
+    spec: FormatSpec,
+    node_plans: List[NodePlan],
+    page_plans: List[PagePlan],
+    graph: Graph,
+    features: FeatureTable,
 ) -> Dict[int, bytes]:
-    spec = image.spec
     codec = spec.codec
-    primary_packed = [
-        codec.pack(plan.primary_addr) for plan in image.node_plans
-    ]
+    primary_packed = [codec.pack(plan.primary_addr) for plan in node_plans]
     pages: Dict[int, bytes] = {}
-    for page in image.page_plans:
+    for page in page_plans:
         buf = bytearray(spec.page_size)
         buf[0] = page.page_type
         buf[1] = page.n_sections
@@ -239,7 +288,7 @@ def _serialize_pages_reference(
             buf[offset_table + 2 * slot : offset_table + 2 * slot + 2] = cursor.to_bytes(
                 2, "little"
             )
-            plan = image.node_plans[node_id]
+            plan = node_plans[node_id]
             if kind == SECTION_TYPE_PRIMARY:
                 _write_primary_section(
                     spec, buf, cursor, size, plan, graph, features, primary_packed

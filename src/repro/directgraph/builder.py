@@ -18,9 +18,11 @@ materializing hundreds of GBs.
 This module is a vectorized rewrite of the original per-node builder,
 which is retained verbatim in :mod:`repro.directgraph._reference` as the
 executable layout specification. The two are required to be
-**byte-identical** (pages) and **structurally identical** (``NodePlan`` /
-``PagePlan`` / ``BuildStats``); see ``tests/test_directgraph_vectorized.py``.
-The key invariants the rewrite relies on:
+**byte-identical** (pages) and **structurally identical** (the
+``NodePlan`` / ``PagePlan`` copies and ``BuildStats``); see
+``tests/test_directgraph_vectorized.py``. The image holds the plan as flat
+numpy arrays, never as per-node or per-section objects. The key
+invariants the rewrite relies on:
 
 * Primary pages fill with consecutive nodes, so runs of fully-inline
   nodes can be placed in one batch: a node fits inline iff the *prefix
@@ -43,7 +45,7 @@ import numpy as np
 
 from ..gnn.features import FeatureTable
 from ..gnn.graph import Graph
-from .address import ADDRESS_BYTES, SectionAddress
+from .address import ADDRESS_BYTES, AddressCodec, SectionAddress
 from .spec import (
     FormatSpec,
     PAGE_TYPE_PRIMARY,
@@ -55,6 +57,7 @@ from .spec import (
 )
 
 __all__ = [
+    "IMAGE_ARRAYS",
     "NodePlan",
     "PagePlan",
     "BuildStats",
@@ -84,7 +87,11 @@ BUILD_COUNTER = _Counter()
 
 @dataclass
 class NodePlan:
-    """Section geometry for one graph node."""
+    """Section geometry for one graph node.
+
+    An image hands these out as copies (:attr:`DirectGraphImage.node_plans`);
+    the reference builder plans with them directly.
+    """
 
     node_id: int
     degree: int
@@ -100,7 +107,7 @@ class NodePlan:
 
 @dataclass
 class PagePlan:
-    """Sections assigned to one flash page."""
+    """Sections assigned to one flash page (a copy, like :class:`NodePlan`)."""
 
     page_index: int
     page_type: int  # PAGE_TYPE_PRIMARY or PAGE_TYPE_SECONDARY
@@ -150,31 +157,109 @@ class BuildStats:
         return self.total_bytes / raw_bytes - 1.0
 
 
+#: The image's arrays, in the order the image cache stores them. Each
+#: node's secondaries and each page row's entries are CSR runs:
+#: ``sec_*[sec_indptr[v]:sec_indptr[v + 1]]`` belong to node ``v``, and
+#: ``entry_*[entry_indptr[r]:entry_indptr[r + 1]]`` are the sections of
+#: page row ``r`` in section order.
+IMAGE_ARRAYS = (
+    "n_inline",
+    "prim_page",
+    "prim_sec",
+    "sec_indptr",
+    "sec_counts",
+    "sec_pages",
+    "sec_sections",
+    "page_type",
+    "entry_indptr",
+    "entry_node",
+    "entry_kind",
+    "entry_ordinal",
+    "entry_size",
+)
+
+
 class DirectGraphImage:
-    """The product of Algorithm 1: page plans, addresses, optional bytes."""
+    """The product of Algorithm 1: the layout as flat arrays, optional bytes.
+
+    Per node ``v``: ``degree``, ``n_inline``, the primary address
+    (``prim_page``, ``prim_sec``) and a CSR of its secondary sections
+    (``sec_counts``, ``sec_pages``, ``sec_sections``). Per page row ``r``:
+    its physical ``page_index``, ``page_type`` and a CSR of its sections
+    (``entry_node``, ``entry_kind``, ``entry_ordinal``, ``entry_size``),
+    where entry ``j`` of a row is section ``j`` of that page. A built
+    image has rows ``0..P-1`` at pages ``0..P-1``; relocated and updated
+    images need not.
+
+    The arrays are the only record of the layout. :attr:`node_plans` and
+    :attr:`page_plans` are copies built from them on each access, for
+    cold callers; editing a copy does not edit the image.
+    """
 
     def __init__(
         self,
         spec: FormatSpec,
-        node_plans: List[NodePlan],
-        page_plans: List[PagePlan],
         stats: BuildStats,
+        *,
+        degree: np.ndarray,
+        n_inline: np.ndarray,
+        prim_page: np.ndarray,
+        prim_sec: np.ndarray,
+        sec_indptr: np.ndarray,
+        sec_counts: np.ndarray,
+        sec_pages: np.ndarray,
+        sec_sections: np.ndarray,
+        page_type: np.ndarray,
+        entry_indptr: np.ndarray,
+        entry_node: np.ndarray,
+        entry_kind: np.ndarray,
+        entry_ordinal: np.ndarray,
+        entry_size: np.ndarray,
+        page_index: Optional[np.ndarray] = None,
         pages: Optional[Dict[int, bytes]] = None,
     ) -> None:
         self.spec = spec
-        self.node_plans = node_plans
-        self.page_plans = page_plans
         self.stats = stats
+        self.degree = degree
+        self.n_inline = n_inline
+        self.prim_page = prim_page
+        self.prim_sec = prim_sec
+        self.sec_indptr = sec_indptr
+        self.sec_counts = sec_counts
+        self.sec_pages = sec_pages
+        self.sec_sections = sec_sections
+        self.page_type = page_type
+        self.entry_indptr = entry_indptr
+        self.entry_node = entry_node
+        self.entry_kind = entry_kind
+        self.entry_ordinal = entry_ordinal
+        self.entry_size = entry_size
+        if page_index is None:
+            page_index = np.arange(len(page_type), dtype=np.int64)
+        self.page_index = page_index
         self.pages = pages
-        self._addr_to_node: Optional[Dict[Tuple[int, int], int]] = None
+
+    @property
+    def page_index(self) -> np.ndarray:
+        """Physical page of each page row."""
+        return self._page_index
+
+    @page_index.setter
+    def page_index(self, value: np.ndarray) -> None:
+        self._page_index = value
+        # Row lookup for node_at: None while row r is page r.
+        if np.array_equal(value, np.arange(len(value))):
+            self._rows: Optional[Dict[int, int]] = None
+        else:
+            self._rows = {page: row for row, page in enumerate(value.tolist())}
 
     @property
     def num_nodes(self) -> int:
-        return len(self.node_plans)
+        return len(self.prim_page)
 
     @property
     def num_pages(self) -> int:
-        return len(self.page_plans)
+        return len(self._page_index)
 
     @property
     def serialized(self) -> bool:
@@ -182,29 +267,92 @@ class DirectGraphImage:
 
     def address_of(self, node: int) -> SectionAddress:
         """Primary-section address of a node (what the host sends per batch)."""
-        plan = self.node_plans[node]
-        assert plan.primary_addr is not None
-        return plan.primary_addr
+        return SectionAddress(self.prim_page.item(node), self.prim_sec.item(node))
 
     def packed_address_of(self, node: int) -> int:
         return self.spec.codec.pack(self.address_of(node))
+
+    def secondary_addrs(self, node: int) -> List[SectionAddress]:
+        """Addresses of a node's secondary sections, in ordinal order."""
+        lo = self.sec_indptr.item(node)
+        hi = self.sec_indptr.item(node + 1)
+        return [
+            SectionAddress(page, section)
+            for page, section in zip(
+                self.sec_pages[lo:hi].tolist(), self.sec_sections[lo:hi].tolist()
+            )
+        ]
 
     def page_bytes(self, page_index: int) -> bytes:
         if self.pages is None:
             raise RuntimeError("image was built plan-only (serialize=False)")
         return self.pages[page_index]
 
+    def row_of(self, page: int) -> int:
+        """Page row holding physical page ``page``; KeyError if none does."""
+        rows = self._rows
+        if rows is not None:
+            return rows[page]
+        if not 0 <= page < len(self._page_index):
+            raise KeyError(page)
+        return page
+
     def node_at(self, addr: SectionAddress) -> int:
         """Reverse lookup: which node owns the section at ``addr``."""
-        if self._addr_to_node is None:
-            table: Dict[Tuple[int, int], int] = {}
-            for plan in self.node_plans:
-                assert plan.primary_addr is not None
-                table[(plan.primary_addr.page, plan.primary_addr.section)] = plan.node_id
-                for sec in plan.secondary_addrs:
-                    table[(sec.page, sec.section)] = plan.node_id
-            self._addr_to_node = table
-        return self._addr_to_node[(addr.page, addr.section)]
+        row = self.row_of(addr.page)
+        first = self.entry_indptr.item(row)
+        at = first + addr.section
+        if not first <= at < self.entry_indptr.item(row + 1):
+            raise KeyError((addr.page, addr.section))
+        return self.entry_node.item(at)
+
+    def arrays(self) -> Dict[str, np.ndarray]:
+        """Every layout array by name (:data:`IMAGE_ARRAYS`, ``degree`` and
+        ``page_index``), for building an edited copy."""
+        arrays = {name: getattr(self, name) for name in IMAGE_ARRAYS}
+        arrays["degree"] = self.degree
+        arrays["page_index"] = self._page_index
+        return arrays
+
+    # -- plan copies for cold callers -----------------------------------------
+
+    @property
+    def node_plans(self) -> List[NodePlan]:
+        """One :class:`NodePlan` per node, built from the arrays."""
+        return [self._node_plan(node) for node in range(self.num_nodes)]
+
+    @property
+    def page_plans(self) -> List[PagePlan]:
+        """One :class:`PagePlan` per page row, built from the arrays."""
+        return [self._page_plan(row) for row in range(self.num_pages)]
+
+    def _node_plan(self, node: int) -> NodePlan:
+        lo = self.sec_indptr.item(node)
+        hi = self.sec_indptr.item(node + 1)
+        return NodePlan(
+            node,
+            self.degree.item(node),
+            n_inline=self.n_inline.item(node),
+            secondary_counts=self.sec_counts[lo:hi].tolist(),
+            primary_addr=self.address_of(node),
+            secondary_addrs=self.secondary_addrs(node),
+        )
+
+    def _page_plan(self, row: int) -> PagePlan:
+        lo = self.entry_indptr.item(row)
+        hi = self.entry_indptr.item(row + 1)
+        return PagePlan(
+            page_index=self._page_index.item(row),
+            page_type=self.page_type.item(row),
+            entries=list(
+                zip(
+                    self.entry_node[lo:hi].tolist(),
+                    self.entry_kind[lo:hi].tolist(),
+                    self.entry_ordinal[lo:hi].tolist(),
+                )
+            ),
+            sizes=self.entry_size[lo:hi].tolist(),
+        )
 
 
 # -- step 1: planning ---------------------------------------------------------
@@ -256,9 +404,9 @@ def _plan_split(
 class _PlanState:
     """Page tables being grown by the planning pass.
 
-    Plain parallel lists instead of ``PagePlan`` objects so per-page used
-    bytes and section counts stay O(1) bookkeeping; the public dataclasses
-    are materialized once at the end.
+    Per-page parallel lists (section node, ordinal, size) so per-page used
+    bytes and section counts stay O(1) bookkeeping; they are flattened
+    into the image's entry arrays once at the end.
     """
 
     __slots__ = (
@@ -266,7 +414,8 @@ class _PlanState:
         "max_secs",
         "open_page_limit",
         "types",
-        "entries",
+        "nodes",
+        "ordinals",
         "sizes",
         "used",
         "open_secondary",
@@ -277,7 +426,8 @@ class _PlanState:
         self.max_secs = spec.max_sections_per_page
         self.open_page_limit = open_page_limit
         self.types: List[int] = []
-        self.entries: List[List[Tuple[int, int, int]]] = []
+        self.nodes: List[List[int]] = []
+        self.ordinals: List[List[int]] = []
         self.sizes: List[List[int]] = []
         self.used: List[int] = []
         # Open-window first-fit applies to secondary pages only: primary
@@ -288,7 +438,8 @@ class _PlanState:
     def new_page(self, page_type: int) -> int:
         index = len(self.types)
         self.types.append(page_type)
-        self.entries.append([])
+        self.nodes.append([])
+        self.ordinals.append([])
         self.sizes.append([])
         self.used.append(0)
         if page_type == PAGE_TYPE_SECONDARY:
@@ -306,9 +457,9 @@ class _PlanState:
             )
         max_secs = self.max_secs
         used = self.used
-        entries = self.entries
+        nodes = self.nodes
         for page in self.open_secondary:
-            if payload - used[page] >= size and len(entries[page]) < max_secs:
+            if payload - used[page] >= size and len(nodes[page]) < max_secs:
                 return page
         return self.new_page(PAGE_TYPE_SECONDARY)
 
@@ -407,15 +558,10 @@ def build_directgraph(
                 full_prefix[node + 1 : end + 1] - full_prefix[node:end]
             ).tolist()
             state.sizes[cur].extend(run_sizes)
-            if ids_list is None:
-                state.entries[cur].extend(
-                    (v, SECTION_TYPE_PRIMARY, 0) for v in range(node, end)
-                )
-            else:
-                state.entries[cur].extend(
-                    (ids_list[v], SECTION_TYPE_PRIMARY, 0)
-                    for v in range(node, end)
-                )
+            state.nodes[cur].extend(
+                range(node, end) if ids_list is None else ids_list[node:end]
+            )
+            state.ordinals[cur].extend([0] * run)
             cur_used += int(full_prefix[end] - full_prefix[node])
             cur_nsec += run
             node = end
@@ -442,7 +588,8 @@ def build_directgraph(
         prim_sec[node] = cur_nsec
         n_inline[node] = n_il
         state.sizes[cur].append(psize)
-        state.entries[cur].append((node_id, SECTION_TYPE_PRIMARY, 0))
+        state.nodes[cur].append(node_id)
+        state.ordinals[cur].append(0)
         cur_used += psize
         cur_nsec += 1
         remaining = int(deg_plan[node]) - n_il
@@ -453,66 +600,90 @@ def build_directgraph(
         for ordinal, count in enumerate(counts):
             ssize = SECONDARY_HEADER_BYTES + ADDRESS_BYTES * count
             spage = state.place_secondary(ssize)
-            sec_addrs.append((spage, len(state.entries[spage])))
-            state.entries[spage].append((node_id, SECTION_TYPE_SECONDARY, ordinal))
+            sec_addrs.append((spage, len(state.nodes[spage])))
+            state.nodes[spage].append(node_id)
+            state.ordinals[spage].append(ordinal)
             state.sizes[spage].append(ssize)
             state.used[spage] += ssize
         splits[node_id] = (counts, sec_addrs)
         node += 1
 
-    # Materialize the public plan objects (node-id indexed). The planning
-    # arrays are position-indexed; ids[inv[v]] == v maps them back.
+    # The planning arrays are position-indexed; ids[inv[v]] == v maps
+    # them back to node ids.
     if ids is not None:
         inv = np.empty(n, dtype=np.int64)
         inv[ids] = np.arange(n)
         prim_page = prim_page[inv]
         prim_sec = prim_sec[inv]
         n_inline = n_inline[inv]
-    deg_list = deg.tolist()
-    n_inline_list = n_inline.tolist()
-    prim_page_list = prim_page.tolist()
-    prim_sec_list = prim_sec.tolist()
-    node_plans: List[NodePlan] = []
-    for v in range(n):
-        split_entry = splits.get(v)
-        if split_entry is None:
-            plan = NodePlan(v, deg_list[v], n_inline=deg_list[v], secondary_counts=[])
-        else:
-            counts, sec_addrs = split_entry
-            plan = NodePlan(
-                v, deg_list[v], n_inline=n_inline_list[v], secondary_counts=counts
-            )
-            plan.secondary_addrs = [
-                SectionAddress(p, s) for p, s in sec_addrs
-            ]
-        plan.primary_addr = SectionAddress(prim_page_list[v], prim_sec_list[v])
-        node_plans.append(plan)
+    # Secondary sections of the split nodes, as a node-id ordered CSR.
+    sec_indptr = np.zeros(n + 1, dtype=np.int64)
+    sec_counts: List[int] = []
+    sec_pages: List[int] = []
+    sec_sections: List[int] = []
+    for v in sorted(splits):
+        counts, sec_addrs = splits[v]
+        sec_indptr[v + 1] = len(counts)
+        sec_counts.extend(counts)
+        sec_pages.extend(page for page, _ in sec_addrs)
+        sec_sections.extend(section for _, section in sec_addrs)
+    np.cumsum(sec_indptr, out=sec_indptr)
 
-    page_plans = [
-        PagePlan(
-            page_index=i,
-            page_type=state.types[i],
-            entries=state.entries[i],
-            sizes=state.sizes[i],
-        )
-        for i in range(len(state.types))
-    ]
+    num_pages = len(state.types)
+    page_type = np.array(state.types, dtype=np.uint8)
+    entry_indptr = np.zeros(num_pages + 1, dtype=np.int64)
+    np.cumsum(
+        np.array([len(nodes) for nodes in state.nodes], dtype=np.int64),
+        out=entry_indptr[1:],
+    )
+    entry_size = _flatten(state.sizes, int(entry_indptr[-1]))
+    # A page holds sections of its own type only.
+    entry_kind = np.repeat(
+        np.where(
+            page_type == PAGE_TYPE_PRIMARY,
+            SECTION_TYPE_PRIMARY,
+            SECTION_TYPE_SECONDARY,
+        ).astype(np.uint8),
+        np.diff(entry_indptr),
+    )
 
-    n_primary = sum(1 for t in state.types if t == PAGE_TYPE_PRIMARY)
-    n_secondary = len(state.types) - n_primary
+    n_primary = int(np.count_nonzero(page_type == PAGE_TYPE_PRIMARY))
     stats = BuildStats(
         num_nodes=n,
         num_edges=graph.num_edges,
         num_primary_pages=n_primary,
-        num_secondary_pages=n_secondary,
+        num_secondary_pages=num_pages - n_primary,
         page_size=spec.page_size,
-        used_bytes=sum(sum(sizes) for sizes in state.sizes)
-        + spec.page_header_bytes * len(state.types),
+        used_bytes=int(entry_size.sum()) + spec.page_header_bytes * num_pages,
     )
-    image = DirectGraphImage(spec, node_plans, page_plans, stats)
+    image = DirectGraphImage(
+        spec,
+        stats,
+        degree=deg,
+        n_inline=n_inline,
+        prim_page=prim_page,
+        prim_sec=prim_sec,
+        sec_indptr=sec_indptr,
+        sec_counts=np.array(sec_counts, dtype=np.int64),
+        sec_pages=np.array(sec_pages, dtype=np.int64),
+        sec_sections=np.array(sec_sections, dtype=np.int64),
+        page_type=page_type,
+        entry_indptr=entry_indptr,
+        entry_node=_flatten(state.nodes, len(entry_size)),
+        entry_kind=entry_kind,
+        entry_ordinal=_flatten(state.ordinals, len(entry_size)),
+        entry_size=entry_size,
+    )
     if serialize:
         image.pages = _serialize_pages(image, graph, features)
     return image
+
+
+def _flatten(rows: List[List[int]], total: int) -> np.ndarray:
+    """Concatenate per-page lists into one int64 array."""
+    return np.fromiter(
+        (value for row in rows for value in row), dtype=np.int64, count=total
+    )
 
 
 # -- step 2: serialization ----------------------------------------------------
@@ -525,17 +696,10 @@ assert _PRIMARY_HEADER.size == PRIMARY_HEADER_BYTES
 assert _SECONDARY_HEADER.size == SECONDARY_HEADER_BYTES
 
 
-def _packed_primary_addresses(image: DirectGraphImage) -> np.ndarray:
-    """Packed 4-byte primary addresses for all nodes, range-validated."""
-    codec = image.spec.codec
-    plans = image.node_plans
-    n = len(plans)
-    pages = np.fromiter(
-        (p.primary_addr.page for p in plans), dtype=np.int64, count=n
-    )
-    sections = np.fromiter(
-        (p.primary_addr.section for p in plans), dtype=np.int64, count=n
-    )
+def _packed_addresses(
+    codec: AddressCodec, pages: np.ndarray, sections: np.ndarray
+) -> np.ndarray:
+    """Packed 4-byte addresses of (page, section) arrays, range-validated."""
     bad = (
         (pages < 0)
         | (pages >= codec.max_pages)
@@ -543,8 +707,9 @@ def _packed_primary_addresses(image: DirectGraphImage) -> np.ndarray:
         | (sections >= codec.max_sections_per_page)
     )
     if bad.any():
-        # Raise the codec's own error for the first offending node.
-        codec.pack(plans[int(np.argmax(bad))].primary_addr)
+        # Raise the codec's own error for the first offending address.
+        first = int(np.argmax(bad))
+        codec.pack(SectionAddress(int(pages[first]), int(sections[first])))
         raise AssertionError("unreachable")  # pragma: no cover
     return (pages << codec.section_bits) | sections
 
@@ -554,11 +719,33 @@ def _serialize_pages(
 ) -> Dict[int, bytes]:
     spec = image.spec
     codec = spec.codec
-    packed_primary = _packed_primary_addresses(image)
+    packed_primary = _packed_addresses(codec, image.prim_page, image.prim_sec)
     # Every neighbor entry in the whole image, in adjacency order: section
     # payloads slice this one blob by (indptr offset, count) x 4 bytes.
     nbr_blob = packed_primary[graph.indices].astype("<u4").tobytes()
+    # Every secondary address, in node order: a primary section's address
+    # list is the node's CSR run of this blob.
+    sec_blob = (
+        _packed_addresses(codec, image.sec_pages, image.sec_sections)
+        .astype("<u4")
+        .tobytes()
+    )
+    sec_indptr = image.sec_indptr
+    # Neighbor-list offset of each secondary section: the node's inline
+    # entries come first, then its secondaries in ordinal order.
+    sec_owner = np.repeat(np.arange(image.num_nodes), np.diff(sec_indptr))
+    sec_before = np.cumsum(image.sec_counts) - image.sec_counts
+    sec_start = (
+        graph.indptr[sec_owner]
+        + image.n_inline[sec_owner]
+        + sec_before
+        - sec_before[sec_indptr[sec_owner]]
+    ).tolist()
+    sec_counts = image.sec_counts.tolist()
+    sec_indptr_list = sec_indptr.tolist()
     indptr = graph.indptr.tolist()
+    degree = image.degree.tolist()
+    n_inline = image.n_inline.tolist()
 
     page_header_bytes = spec.page_header_bytes
     growth_slots = spec.growth_slots
@@ -566,19 +753,22 @@ def _serialize_pages(
     growth_len = len(growth_bytes)
     feature_bytes = spec.feature_bytes
     feature_vector = features.vector
-    pack_addr_bytes = codec.pack_bytes
     page_size = spec.page_size
-    plans = image.node_plans
-    # node -> neighbor-list start offset per secondary ordinal (split
-    # nodes only), filled lazily on first encounter.
-    sec_starts: Dict[int, List[int]] = {}
+    entry_indptr = image.entry_indptr.tolist()
+    entry_node = image.entry_node.tolist()
+    entry_kind = image.entry_kind.tolist()
+    entry_ordinal = image.entry_ordinal.tolist()
+    entry_size = image.entry_size.tolist()
 
     pages: Dict[int, bytes] = {}
-    for page in image.page_plans:
+    for row, (page_index, page_type) in enumerate(
+        zip(image.page_index.tolist(), image.page_type.tolist())
+    ):
+        lo, hi = entry_indptr[row], entry_indptr[row + 1]
         buf = bytearray(page_size)
-        buf[0] = page.page_type
-        buf[1] = page.n_sections
-        sizes = page.sizes
+        buf[0] = page_type
+        buf[1] = hi - lo
+        sizes = entry_size[lo:hi]
         offsets = []
         cursor = page_header_bytes
         for size in sizes:
@@ -586,11 +776,17 @@ def _serialize_pages(
             cursor += size
         if offsets:
             struct.pack_into(f"<{len(offsets)}H", buf, 2, *offsets)
-        for (node_id, kind, ordinal), at, size in zip(
-            page.entries, offsets, sizes
+        for node_id, kind, ordinal, at, size in zip(
+            entry_node[lo:hi],
+            entry_kind[lo:hi],
+            entry_ordinal[lo:hi],
+            offsets,
+            sizes,
         ):
-            plan = plans[node_id]
+            first_sec = sec_indptr_list[node_id]
             if kind == SECTION_TYPE_PRIMARY:
+                n_sec = sec_indptr_list[node_id + 1] - first_sec
+                inline = n_inline[node_id]
                 _PRIMARY_HEADER.pack_into(
                     buf,
                     at,
@@ -598,14 +794,16 @@ def _serialize_pages(
                     growth_slots,  # flags: free growth slots remaining
                     size,
                     node_id,
-                    plan.degree,
-                    len(plan.secondary_counts),
-                    plan.n_inline,
+                    degree[node_id],
+                    n_sec,
+                    inline,
                 )
                 pos = at + PRIMARY_HEADER_BYTES
-                for sec_addr in plan.secondary_addrs:
-                    buf[pos : pos + 4] = pack_addr_bytes(sec_addr)
-                    pos += 4
+                if n_sec:
+                    buf[pos : pos + 4 * n_sec] = sec_blob[
+                        4 * first_sec : 4 * (first_sec + n_sec)
+                    ]
+                    pos += 4 * n_sec
                 if growth_len:  # reserved (null) secondary slots
                     buf[pos : pos + growth_len] = growth_bytes
                     pos += growth_len
@@ -616,20 +814,10 @@ def _serialize_pages(
                 buf[pos : pos + len(raw)] = raw
                 pos += feature_bytes
                 start = 4 * indptr[node_id]
-                chunk = nbr_blob[start : start + 4 * plan.n_inline]
-                buf[pos : pos + len(chunk)] = chunk
-                pos += len(chunk)
+                chunk = nbr_blob[start : start + 4 * inline]
             else:
-                count = plan.secondary_counts[ordinal]
-                starts = sec_starts.get(node_id)
-                if starts is None:
-                    starts = []
-                    offset = plan.n_inline
-                    for c in plan.secondary_counts:
-                        starts.append(offset)
-                        offset += c
-                    sec_starts[node_id] = starts
-                skip = starts[ordinal]
+                sec = first_sec + ordinal
+                count = sec_counts[sec]
                 _SECONDARY_HEADER.pack_into(
                     buf,
                     at,
@@ -641,12 +829,12 @@ def _serialize_pages(
                     0,
                 )
                 pos = at + SECONDARY_HEADER_BYTES
-                start = 4 * (indptr[node_id] + skip)
+                start = 4 * sec_start[sec]
                 chunk = nbr_blob[start : start + 4 * count]
-                buf[pos : pos + len(chunk)] = chunk
-                pos += len(chunk)
+            buf[pos : pos + len(chunk)] = chunk
+            pos += len(chunk)
             assert pos - at == size, "section size mismatch"
         # unused offset-table slots stay 0 (offset 0 is inside the header,
         # hence invalid — readers treat it as "no section")
-        pages[page.page_index] = bytes(buf)
+        pages[page_index] = bytes(buf)
     return pages

@@ -17,9 +17,12 @@ constructed in different ways share entries and a builder edit misses.
 Entries are written atomically (tmp file + rename) and any
 unreadable/corrupt entry is treated as a miss, never an error.
 
-Feature tables are *not* stored: they are procedural (O(1) memory,
-derived from the workload seed), so the loader reconstructs them for
-free while the expensive parts — edges and page bytes — come off disk.
+An entry holds the image's layout arrays as they are (the image keeps
+no plan objects, so a load builds none), the CSR graph and the page
+bytes. Feature tables are *not* stored: they are procedural (O(1)
+memory, derived from the workload seed), so the loader reconstructs them
+for free while the expensive parts — edges and page bytes — come off
+disk.
 """
 
 from __future__ import annotations
@@ -42,8 +45,7 @@ from ..cacheutil import (
     stable_hash,
 )
 from ..gnn.graph import Graph
-from .builder import BuildStats, DirectGraphImage, NodePlan, PagePlan
-from .address import SectionAddress
+from .builder import IMAGE_ARRAYS, BuildStats, DirectGraphImage
 from .spec import FormatSpec
 
 __all__ = [
@@ -209,51 +211,17 @@ class ImageCache:
 
 # -- array (de)serialization --------------------------------------------------
 #
-# One flat set of numpy arrays per entry; plan objects are rebuilt on load.
-# Page indices are dense 0..P-1 by construction (the builder's shared page
-# counter), so page bytes concatenate into a single uint8 blob.
+# The entry holds the image's own arrays (``IMAGE_ARRAYS``) as they are,
+# plus the graph's CSR and every page's bytes. Node degrees are the
+# graph's. Only images whose page rows are pages 0..P-1 are stored, so page
+# bytes concatenate into a single uint8 blob.
 
 
 def _image_to_arrays(graph: Graph, image: DirectGraphImage) -> dict:
     spec = image.spec
-    plans = image.node_plans
-    n = len(plans)
-    num_pages = len(image.page_plans)
-
-    sec_indptr = np.zeros(n + 1, dtype=np.int64)
-    for i, plan in enumerate(plans):
-        sec_indptr[i + 1] = sec_indptr[i] + len(plan.secondary_counts)
-    total_sec = int(sec_indptr[-1])
-    sec_counts = np.zeros(total_sec, dtype=np.int64)
-    sec_pages = np.zeros(total_sec, dtype=np.int64)
-    sec_sections = np.zeros(total_sec, dtype=np.int64)
-    for i, plan in enumerate(plans):
-        at = int(sec_indptr[i])
-        for j, (count, addr) in enumerate(
-            zip(plan.secondary_counts, plan.secondary_addrs)
-        ):
-            sec_counts[at + j] = count
-            sec_pages[at + j] = addr.page
-            sec_sections[at + j] = addr.section
-
-    entry_indptr = np.zeros(num_pages + 1, dtype=np.int64)
-    for i, page in enumerate(image.page_plans):
-        entry_indptr[i + 1] = entry_indptr[i] + len(page.entries)
-    total_entries = int(entry_indptr[-1])
-    entry_node = np.zeros(total_entries, dtype=np.int64)
-    entry_kind = np.zeros(total_entries, dtype=np.uint8)
-    entry_ordinal = np.zeros(total_entries, dtype=np.int64)
-    entry_size = np.zeros(total_entries, dtype=np.int64)
-    for i, page in enumerate(image.page_plans):
-        at = int(entry_indptr[i])
-        for j, ((node, kind, ordinal), size) in enumerate(
-            zip(page.entries, page.sizes)
-        ):
-            entry_node[at + j] = node
-            entry_kind[at + j] = kind
-            entry_ordinal[at + j] = ordinal
-            entry_size[at + j] = size
-
+    num_pages = image.num_pages
+    if not np.array_equal(image.page_index, np.arange(num_pages)):
+        raise ValueError("only images on pages 0..P-1 can be cached")
     blob = b"".join(image.pages[i] for i in range(num_pages))
     meta = {
         "schema": IMAGE_SCHEMA_VERSION,
@@ -276,25 +244,7 @@ def _image_to_arrays(graph: Graph, image: DirectGraphImage) -> dict:
         "meta": np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
         "indptr": np.asarray(graph.indptr, dtype=np.int64),
         "indices": np.asarray(graph.indices, dtype=np.int32),
-        "n_inline": np.fromiter((p.n_inline for p in plans), np.int64, n),
-        "prim_page": np.fromiter(
-            (p.primary_addr.page for p in plans), np.int64, n
-        ),
-        "prim_sec": np.fromiter(
-            (p.primary_addr.section for p in plans), np.int64, n
-        ),
-        "sec_indptr": sec_indptr,
-        "sec_counts": sec_counts,
-        "sec_pages": sec_pages,
-        "sec_sections": sec_sections,
-        "page_type": np.fromiter(
-            (p.page_type for p in image.page_plans), np.uint8, num_pages
-        ),
-        "entry_indptr": entry_indptr,
-        "entry_node": entry_node,
-        "entry_kind": entry_kind,
-        "entry_ordinal": entry_ordinal,
-        "entry_size": entry_size,
+        **{name: getattr(image, name) for name in IMAGE_ARRAYS},
         "pages_blob": np.frombuffer(blob, dtype=np.uint8),
     }
 
@@ -316,61 +266,20 @@ def _arrays_to_image(data) -> CachedImage:
         growth_slots=int(meta["growth_slots"]),
     )
     graph = Graph(data["indptr"], data["indices"])
-
-    n_inline = data["n_inline"].tolist()
-    prim_page = data["prim_page"].tolist()
-    prim_sec = data["prim_sec"].tolist()
-    sec_indptr = data["sec_indptr"].tolist()
-    sec_counts = data["sec_counts"].tolist()
-    sec_pages = data["sec_pages"].tolist()
-    sec_sections = data["sec_sections"].tolist()
-    degrees = graph.degrees().tolist()
-
-    node_plans = []
-    for v in range(graph.num_nodes):
-        lo, hi = sec_indptr[v], sec_indptr[v + 1]
-        plan = NodePlan(
-            v,
-            degrees[v],
-            n_inline=n_inline[v],
-            secondary_counts=sec_counts[lo:hi],
-        )
-        plan.primary_addr = SectionAddress(prim_page[v], prim_sec[v])
-        plan.secondary_addrs = [
-            SectionAddress(sec_pages[i], sec_sections[i]) for i in range(lo, hi)
-        ]
-        node_plans.append(plan)
-
-    page_type = data["page_type"].tolist()
-    entry_indptr = data["entry_indptr"].tolist()
-    entry_node = data["entry_node"].tolist()
-    entry_kind = data["entry_kind"].tolist()
-    entry_ordinal = data["entry_ordinal"].tolist()
-    entry_size = data["entry_size"].tolist()
-    num_pages = len(page_type)
-
+    arrays = {name: data[name] for name in IMAGE_ARRAYS}
+    num_pages = len(arrays["page_type"])
     blob = data["pages_blob"].tobytes()
     page_size = spec.page_size
     if len(blob) != num_pages * page_size:
         raise ValueError("page blob size mismatch")
-
-    page_plans = []
-    pages = {}
-    for i in range(num_pages):
-        lo, hi = entry_indptr[i], entry_indptr[i + 1]
-        page_plans.append(
-            PagePlan(
-                page_index=i,
-                page_type=page_type[i],
-                entries=[
-                    (entry_node[j], entry_kind[j], entry_ordinal[j])
-                    for j in range(lo, hi)
-                ],
-                sizes=entry_size[lo:hi],
-            )
-        )
-        pages[i] = blob[i * page_size : (i + 1) * page_size]
-
-    stats = BuildStats(**meta["stats"])
-    image = DirectGraphImage(spec, node_plans, page_plans, stats, pages=pages)
+    pages = {
+        i: blob[i * page_size : (i + 1) * page_size] for i in range(num_pages)
+    }
+    image = DirectGraphImage(
+        spec,
+        BuildStats(**meta["stats"]),
+        degree=graph.degrees(),
+        pages=pages,
+        **arrays,
+    )
     return CachedImage(graph=graph, image=image)

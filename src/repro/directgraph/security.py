@@ -52,7 +52,7 @@ class VerificationReport:
 
 
 def _allowed_pages(image: DirectGraphImage) -> Set[int]:
-    return {p.page_index for p in image.page_plans}
+    return set(image.page_index.tolist())
 
 
 def verify_image(image: DirectGraphImage) -> VerificationReport:
@@ -96,29 +96,29 @@ def verify_image(image: DirectGraphImage) -> VerificationReport:
                 f"{what} expects type {expect_type} page at {addr}",
             )
 
-    for page in image.page_plans:
-        raw = image.page_bytes(page.page_index)
+    for page_index in image.page_index.tolist():
+        raw = image.page_bytes(page_index)
         try:
             decoded = decode_page(spec, raw)
         except DirectGraphFormatError as err:
-            report.add(page.page_index, "format", str(err))
+            report.add(page_index, "format", str(err))
             continue
         for section in decoded.sections:
             if isinstance(section, PrimarySectionView):
                 for addr in section.secondary_addrs:
                     check_ref(
-                        page.page_index, addr, SECTION_TYPE_SECONDARY,
+                        page_index, addr, SECTION_TYPE_SECONDARY,
                         f"secondary addr of node {section.node_id}",
                     )
                 for addr in section.inline_neighbor_addrs:
                     check_ref(
-                        page.page_index, addr, SECTION_TYPE_PRIMARY,
+                        page_index, addr, SECTION_TYPE_PRIMARY,
                         f"neighbor of node {section.node_id}",
                     )
             elif isinstance(section, SecondarySectionView):
                 for addr in section.neighbor_addrs:
                     check_ref(
-                        page.page_index, addr, SECTION_TYPE_PRIMARY,
+                        page_index, addr, SECTION_TYPE_PRIMARY,
                         f"overflow neighbor of node {section.node_id}",
                     )
     return report

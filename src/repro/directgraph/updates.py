@@ -31,11 +31,13 @@ rebuild (Algorithm 1), exactly as the paper's static design would.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional
 
+import numpy as np
+
 from .address import ADDRESS_BYTES, SectionAddress
-from .builder import DirectGraphImage, PagePlan
+from .builder import DirectGraphImage
 from .reader import PrimarySectionView, SecondarySectionView, decode_section
 from .spec import (
     PAGE_TYPE_SECONDARY,
@@ -69,14 +71,18 @@ class DirectGraphUpdater:
         spare_ppas: Optional[Iterable[int]] = None,
     ) -> None:
         """``spare_ppas``: physical pages available for new secondary
-        sections (from additional reserved blocks). Without spares, only
-        last-section extension is possible."""
+        sections (from additional reserved blocks), none of them a page
+        of the image. Without spares, only last-section extension is
+        possible."""
         if not image.serialized:
             raise ValueError("updates require a serialized image")
         self.image = image
         self.spec = image.spec
         self.stats = UpdateStats()
         self._spare_ppas: List[int] = list(spare_ppas or [])
+        in_use = sorted(set(self._spare_ppas) & set(image.pages))
+        if in_use:
+            raise ValueError(f"spare pages already hold the image: {in_use[:5]}")
         self._open_update_page: Optional[int] = None
         self._rewritten: set = set()
         self.added: Dict[int, List[int]] = {}
@@ -123,7 +129,7 @@ class DirectGraphUpdater:
                 take = min(room, len(packed))
                 self._extend_secondary(last_addr, packed[:take])
                 self._bump_degree(node, take)
-                self.image.node_plans[node].secondary_counts[-1] += take
+                self.image.sec_counts[self.image.sec_indptr[node + 1] - 1] += take
                 return packed[take:]
         # the last section (or none) is full: open a new one
         self._create_secondary(node, packed[: min(cap, len(packed))])
@@ -166,6 +172,10 @@ class DirectGraphUpdater:
         for i in range(addr.section + 1, n_sections):
             raw[2 + 2 * i : 4 + 2 * i] = (offsets[i] + extra).to_bytes(2, "little")
         self.image.pages[addr.page] = bytes(raw)
+        image = self.image
+        image.entry_size[
+            image.entry_indptr[image.row_of(addr.page)] + addr.section
+        ] += extra
         self._note_rewrite(addr.page)
         self.stats.sections_extended += 1
 
@@ -193,11 +203,13 @@ class DirectGraphUpdater:
         raw[offset + 12 : offset + 14] = (n_secondary + 1).to_bytes(2, "little")
         self.image.pages[addr.page] = bytes(raw)
         self._note_rewrite(addr.page)
-        # keep the plan metadata in sync
-        plan = self.image.node_plans[node]
-        plan.secondary_addrs.append(new_addr)
-        plan.secondary_counts.append(len(packed))
-        self.image._addr_to_node = None  # invalidate the reverse cache
+        # the node's secondary run gains the new section as its last one
+        image = self.image
+        at = image.sec_indptr[node + 1]
+        image.sec_counts = np.insert(image.sec_counts, at, len(packed))
+        image.sec_pages = np.insert(image.sec_pages, at, page_index)
+        image.sec_sections = np.insert(image.sec_sections, at, section_index)
+        image.sec_indptr[node + 1 :] += 1
         self.stats.sections_created += 1
         self.stats.growth_slots_consumed += 1
 
@@ -224,9 +236,7 @@ class DirectGraphUpdater:
             blank[0] = PAGE_TYPE_SECONDARY
             blank[1] = 0
             self.image.pages[page_index] = bytes(blank)
-            self.image.page_plans.append(
-                PagePlan(page_index=page_index, page_type=PAGE_TYPE_SECONDARY)
-            )
+            self._add_page_row(page_index)
             self._open_update_page = page_index
         raw = bytearray(self.image.pages[page_index])
         n_sections = raw[1]
@@ -244,8 +254,31 @@ class DirectGraphUpdater:
         raw[2 + 2 * n_sections : 4 + 2 * n_sections] = at.to_bytes(2, "little")
         raw[1] = n_sections + 1
         self.image.pages[page_index] = bytes(raw)
+        self._add_entry(page_index, node, section_bytes)
         self._note_rewrite(page_index)
         return page_index, n_sections
+
+    def _add_page_row(self, page_index: int) -> None:
+        """Give a fresh update page an empty row in the image's page table."""
+        image = self.image
+        image.page_index = np.append(image.page_index, page_index)
+        image.page_type = np.append(image.page_type, np.uint8(PAGE_TYPE_SECONDARY))
+        image.entry_indptr = np.append(image.entry_indptr, image.entry_indptr[-1])
+
+    def _add_entry(self, page_index: int, node: int, section_bytes: int) -> None:
+        """Record a new secondary section of ``node`` as its page's last one."""
+        image = self.image
+        ordinal = image.sec_indptr[node + 1] - image.sec_indptr[node]
+        row = image.row_of(page_index)
+        at = image.entry_indptr[row + 1]
+        for name, value in (
+            ("entry_node", node),
+            ("entry_kind", SECTION_TYPE_SECONDARY),
+            ("entry_ordinal", ordinal),
+            ("entry_size", section_bytes),
+        ):
+            setattr(image, name, np.insert(getattr(image, name), at, value))
+        image.entry_indptr[row + 1 :] += 1
 
     def _page_used(self, raw: bytes) -> int:
         n_sections = raw[1]
@@ -267,7 +300,7 @@ class DirectGraphUpdater:
         raw[offset + 8 : offset + 12] = (degree + count).to_bytes(4, "little")
         self.image.pages[addr.page] = bytes(raw)
         self._note_rewrite(addr.page)
-        self.image.node_plans[node].degree += count
+        self.image.degree[node] += count
 
     def _note_rewrite(self, page_index: int) -> None:
         if page_index not in self._rewritten:

@@ -73,11 +73,13 @@ def power_law_graph(
     np.cumsum(degrees, out=indptr[1:])
     num_edges = int(indptr[-1])
 
-    # Preferential endpoint selection: sample positions in the stub array.
+    # Preferential endpoint selection: sample positions in the stub array,
+    # whose owner array (node v repeated degree(v) times) maps each to its
+    # node in O(E).
     stub_positions = rng.integers(0, num_edges, size=num_edges, dtype=np.int64)
-    endpoints = (
-        np.searchsorted(indptr[1:], stub_positions, side="right")
-    ).astype(np.int32)
+    endpoints = np.repeat(np.arange(num_nodes), degrees)[stub_positions].astype(
+        np.int32
+    )
     return Graph(indptr, endpoints)
 
 
@@ -141,11 +143,10 @@ def community_graph(
     num_edges = int(indptr[-1])
     src = np.repeat(np.arange(num_nodes), degrees)
     intra = rng.random(num_edges) < intra_fraction
-    # Inter-community endpoints: global preferential stub positions.
+    # Inter-community endpoints: global preferential stub positions; src
+    # is the stub array's owner array.
     stub_positions = rng.integers(0, num_edges, size=num_edges, dtype=np.int64)
-    global_ep = np.searchsorted(indptr[1:], stub_positions, side="right").astype(
-        np.int64
-    )
+    global_ep = src[stub_positions]
     # Intra-community endpoints: uniform over the source's community.
     c = comm[src]
     csize = comm_start[c + 1] - comm_start[c]

@@ -81,11 +81,11 @@ class BeaconHost:
         # device's physical pages by rewriting all embedded addresses.
         mapping = {i: ppas[i] for i in range(image.num_pages)}
         image = relocate_image(image, mapping)
-        for page_plan in image.page_plans:
+        for page_index in image.page_index.tolist():
             self.driver.call(
                 Opcode.BEACON_FLUSH_PAGE,
-                lba=page_plan.page_index,
-                payload=image.page_bytes(page_plan.page_index),
+                lba=page_index,
+                payload=image.page_bytes(page_index),
             )
         self.deployment = DeploymentInfo(
             image=image, blocks=list(blocks), pages_flushed=image.num_pages

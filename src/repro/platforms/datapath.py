@@ -591,7 +591,7 @@ class DataPrepEngine:
                 # Host-side sampling needs the node's *entire* neighbor
                 # list: every secondary page is read and shipped — the
                 # "transfer of full neighbor lists" SmartSage eliminates.
-                for addr in self.image.node_plans[node].secondary_addrs:
+                for addr in self.image.secondary_addrs(node):
                     if addr.page in secondary_pages_read:
                         continue
                     secondary_pages_read.add(addr.page)

@@ -360,9 +360,10 @@ def scaleout_outcome(
     (:data:`repro.directgraph.LAYOUTS`); layouts never change the
     sampled trees, only which flash pages the walks touch.
 
-    ``require_cached=True`` raises ``KeyError`` on a miss of the array
-    document instead of simulating (the warm-cache figure path), and
-    ``ValueError`` without a ``cache``.
+    ``require_cached=True`` never simulates (the warm-cache figure path):
+    a missing array document is re-rendered from the cached shard cells
+    and rewritten, ``KeyError`` is raised when a shard cell is missing,
+    and ``ValueError`` without a ``cache``.
     """
     from ..directgraph import builder as _builder
     from ..directgraph import imagecache as _imagecache
@@ -371,6 +372,7 @@ def scaleout_outcome(
         _prepared_for,
         _resolve_image_cache,
         adopt_prepared,
+        outcome_from_cache,
         run_grid,
     )
 
@@ -445,11 +447,6 @@ def scaleout_outcome(
     cached = SCALEOUT_DOC.load(cache, key)
     if cached is not None:
         return ScaleOutOutcome(result=cached, key=key, from_cache=True)
-    if require_cached:
-        raise KeyError(
-            f"scale-out result {key[:12]}... not in result cache — "
-            "run without --from-cache first"
-        )
 
     builds_before = _builder.BUILD_COUNTER.count
     image_hits_before = _imagecache.COUNTERS.hits
@@ -497,13 +494,16 @@ def scaleout_outcome(
         )
         for s in range(num_devices)
     ]
-    grid = run_grid(
-        cells,
-        jobs=jobs,
-        cache=cache,
-        image_cache=image_cache,
-        executor=executor,
-    )
+    if require_cached:
+        grid = outcome_from_cache(cells, cache)
+    else:
+        grid = run_grid(
+            cells,
+            jobs=jobs,
+            cache=cache,
+            image_cache=image_cache,
+            executor=executor,
+        )
     devices: List[RunResult] = grid.results
 
     # Measured exchange: every sampled position whose node lives on a

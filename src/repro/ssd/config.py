@@ -192,9 +192,16 @@ class SSDConfig:
         return replace(self, gpu=replace(self.gpu, **kwargs))
 
 
+_ULL_SSD = SSDConfig()
+
+
 def ull_ssd() -> SSDConfig:
-    """The default BeaconGNN device: ULL (3 us read) flash backend."""
-    return SSDConfig()
+    """The default BeaconGNN device: ULL (3 us read) flash backend.
+
+    One shared instance (the config is frozen), so every default cell
+    hands the cache-key canonicalizer the same object.
+    """
+    return _ULL_SSD
 
 
 def traditional_ssd() -> SSDConfig:

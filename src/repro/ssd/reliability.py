@@ -21,6 +21,8 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
+import numpy as np
+
 from ..directgraph.builder import DirectGraphImage
 from ..directgraph.reader import decode_page
 from ..directgraph.spec import (
@@ -130,33 +132,23 @@ def relocate_image(
     """
     if not image.serialized:
         raise ValueError("relocation requires a serialized image")
-    missing = set(p.page_index for p in image.page_plans) - set(mapping)
+    missing = set(image.page_index.tolist()) - set(mapping)
     if missing:
         raise ValueError(f"mapping misses pages: {sorted(missing)[:5]} ...")
-    from copy import deepcopy
 
-    new_plans = deepcopy(image.page_plans)
-    for plan in new_plans:
-        plan.page_index = mapping[plan.page_index]
-    new_node_plans = deepcopy(image.node_plans)
-    for node in new_node_plans:
-        node.primary_addr = node.primary_addr.__class__(
-            mapping[node.primary_addr.page], node.primary_addr.section
+    def remap(pages: np.ndarray) -> np.ndarray:
+        return np.fromiter(
+            (mapping[page] for page in pages.tolist()), np.int64, len(pages)
         )
-        node.secondary_addrs = [
-            a.__class__(mapping[a.page], a.section) for a in node.secondary_addrs
-        ]
+
+    arrays = {name: values.copy() for name, values in image.arrays().items()}
+    for name in ("page_index", "prim_page", "sec_pages"):
+        arrays[name] = remap(arrays[name])
     new_pages = {
         mapping[page_index]: _patch_addresses(image, raw, mapping)
         for page_index, raw in image.pages.items()
     }
-    return DirectGraphImage(
-        spec=image.spec,
-        node_plans=new_node_plans,
-        page_plans=new_plans,
-        stats=image.stats,
-        pages=new_pages,
-    )
+    return DirectGraphImage(image.spec, image.stats, pages=new_pages, **arrays)
 
 
 class WearReclaimer:
@@ -187,7 +179,7 @@ class WearReclaimer:
             start = block * self.ftl.pages_per_block
             old_ppas.extend(range(start, start + self.ftl.pages_per_block))
         new_ppas = self.ftl.ppa_list(new_blocks)
-        used = sorted(p.page_index for p in image.page_plans)
+        used = sorted(image.page_index.tolist())
         old_index = {ppa: i for i, ppa in enumerate(old_ppas)}
         mapping = {}
         for page in used:

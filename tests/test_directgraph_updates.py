@@ -121,6 +121,15 @@ class TestAddNeighbors:
         with pytest.raises(UpdateCapacityError):
             updater.add_neighbors(1, [(i % 39) + 1 for i in range(cap + 1)])
 
+    def test_spare_page_of_the_image_rejected(self):
+        """A live page offered as a spare would be blanked by the first
+        new section."""
+        g = power_law_graph(60, 6.0, seed=4)
+        image = build(g)
+        with pytest.raises(ValueError, match="already hold the image"):
+            DirectGraphUpdater(image, spare_ppas=[0])
+        assert verify_image(image).ok
+
     def test_unknown_neighbor_rejected(self):
         g = power_law_graph(30, 4.0, seed=7)
         image = build(g)

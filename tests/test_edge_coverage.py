@@ -74,7 +74,8 @@ class TestReaderEdgeCases:
         view = reader.section_at(sec_addr)
         assert view.type == 2
         # asking for a *primary* view at that address must fail cleanly
-        image.node_plans[0].primary_addr = sec_addr
+        image.prim_page[0] = sec_addr.page
+        image.prim_sec[0] = sec_addr.section
         with pytest.raises(DirectGraphFormatError):
             reader.primary_section(0)
 

@@ -124,6 +124,75 @@ class TestCacheKeys:
         assert derive_cell_seed(0, a) != derive_cell_seed(0, b)
         assert derive_cell_seed(0, a) != derive_cell_seed(1, a)
 
+    def test_memoized_keys_equal_uncached_canonicalization(self):
+        """Sharing canonical config forms leaves every key string as it was."""
+        import dataclasses
+        import hashlib
+        import numbers
+
+        from repro.cache import CacheConfig
+        from repro.cacheutil import code_fingerprint
+        from repro.orchestrate.grid import _cell_identity
+        from repro.platforms import platform_names
+        from repro.platforms.background import BackgroundIoConfig
+
+        def canonical(obj):  # the canonicalization, recomputed every call
+            if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+                return {
+                    f.name: canonical(getattr(obj, f.name))
+                    for f in dataclasses.fields(obj)
+                }
+            if isinstance(obj, dict):
+                return {str(k): canonical(v) for k, v in obj.items()}
+            if isinstance(obj, (list, tuple)):
+                return [canonical(v) for v in obj]
+            if isinstance(obj, (str, bool)) or obj is None:
+                return obj
+            if isinstance(obj, numbers.Integral):
+                return int(obj)
+            return float(obj)
+
+        def uncached_hash(obj):
+            encoded = json.dumps(canonical(obj), sort_keys=True, separators=(",", ":"))
+            return hashlib.sha256(encoded.encode()).hexdigest()[:40]
+
+        def uncached_key(cell, seed):
+            return uncached_hash(
+                {
+                    "kind": CELL_DOC.kind,
+                    "schema": CELL_DOC.schema,
+                    "code_version": code_fingerprint(),
+                    **_cell_identity(cell),
+                    "seed": seed,
+                }
+            )
+
+        def make(platform, workload, **extra):
+            return GridCell(platform=platform, workload=workload, **extra, **TINY)
+
+        cells = [make(p, "ogbn") for p in platform_names()]
+        cells += [
+            make("bg2", "amazon", page_cache=CacheConfig(capacity_mb=1)),
+            # equal to the one above, yet canonicalized (and keyed) apart
+            make("bg2", "amazon", page_cache=CacheConfig(capacity_mb=1.0)),
+            make("bg2", "amazon", page_cache=CacheConfig(0.5, policy="clock")),
+            make("bg2", "ppi", sample_trace=True),
+            make("bg2", "ppi", background_io=BackgroundIoConfig(5e4)),
+            make("bg2", "ppi", background_io=BackgroundIoConfig(5e4, deferred=False)),
+            make("cc", "reddit", ssd_config=ull_ssd().with_firmware(num_cores=2)),
+            # equal, yet -0.0 canonicalizes apart from 0.0
+            make("bg2", "reddit", page_cache=CacheConfig(2, hit_latency_s=0.0)),
+            make("bg2", "reddit", page_cache=CacheConfig(2, hit_latency_s=-0.0)),
+        ]
+        for _ in range(2):  # the second pass reads the shared forms
+            keys = [cell_cache_key(cell, 7) for cell in cells]
+            assert keys == [uncached_key(cell, 7) for cell in cells]
+            # derive_cell_seed hashes the identity alone
+            for cell in cells:
+                identity = _cell_identity(cell)
+                assert stable_hash(identity) == uncached_hash(identity)
+        assert len(set(keys)) == len(cells)
+
     def test_every_key_kind_tracks_the_source(self, tmp_path):
         """An edit no config covers still changes every kind of key."""
         package = Path(repro.__file__).resolve().parent
@@ -613,6 +682,41 @@ class TestScaleOutCache:
             scaleout_outcome(
                 2, "bg2", spec, cache=cache, require_cached=True, **self.PARAMS
             )
+
+    @pytest.mark.parametrize("partitioner", ("hash", "label-prop"))
+    def test_require_cached_renders_from_shard_cells(self, tmp_path, partitioner):
+        """A lost array document re-renders from its cells, nothing simulated."""
+        from repro.directgraph import BUILD_COUNTER
+        from repro.orchestrate.grid import _PREPARED_MEMO
+
+        cache = ResultCache(tmp_path)
+        cold = self.outcome(cache, partitioner=partitioner)
+        document = cache.path_for(cold.key)
+        written = document.read_bytes()
+        document.unlink()
+        _PREPARED_MEMO.clear()
+        BUILD_COUNTER.reset()
+        warm = self.outcome(cache, partitioner=partitioner, require_cached=True)
+        assert not warm.from_cache
+        assert warm.shards_executed == 0 and warm.shard_cache_hits == 2
+        assert BUILD_COUNTER.count == 0
+        assert warm.result.to_dict() == cold.result.to_dict()
+        assert document.read_bytes() == written  # the document is rewritten
+        again = self.outcome(cache, partitioner=partitioner, require_cached=True)
+        assert again.from_cache
+
+    def test_require_cached_raises_when_a_shard_cell_is_missing(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cold = self.outcome(cache)
+        cache.path_for(cold.key).unlink()
+        shard_keys = [
+            path.stem for path in tmp_path.glob("*.json") if path.stem != cold.key
+        ]
+        assert len(shard_keys) == 2
+        cache.path_for(shard_keys[0]).unlink()
+        with pytest.raises(KeyError, match="1 of 2 cells not in result cache"):
+            self.outcome(cache, require_cached=True)
+        assert not cache.path_for(cold.key).exists()
 
     def test_require_cached_needs_a_cache(self):
         from repro.platforms import scaleout_outcome
