@@ -35,7 +35,7 @@ from typing import Dict, Optional, Tuple
 import pytest
 
 from repro.directgraph import ImageCache
-from repro.orchestrate import GridCell, ResultCache, outcome_from_cache, run_grid
+from repro.orchestrate import GridCell, ResultCache, run_grid
 from repro.platforms import (
     PreparedWorkload,
     measure_query_latency,
@@ -145,13 +145,12 @@ def make_cell(bench_env):
 @pytest.fixture(scope="session")
 def grid_runner(bench_env, grid_cache, image_cache, bench_from_cache):
     def run(cells):
-        if bench_from_cache:
-            return outcome_from_cache(cells, grid_cache)
         return run_grid(
             cells,
             jobs=bench_env.jobs,
             cache=grid_cache,
             image_cache=image_cache,
+            require_cached=bench_from_cache,
         )
 
     return run

@@ -235,7 +235,6 @@ def sweep_cache(
         _prepared_for,
         _resolve_image_cache,
         adopt_prepared,
-        outcome_from_cache,
         run_grid,
     )
     from ..platforms.features import PlatformFeatures
@@ -320,16 +319,14 @@ def sweep_cache(
         )
         for capacity, policy in grid
     ]
-    if require_cached:
-        outcome = outcome_from_cache(cells, cache)
-    else:
-        outcome = run_grid(
-            cells,
-            jobs=jobs,
-            cache=cache,
-            image_cache=image_cache,
-            executor=executor,
-        )
+    outcome = run_grid(
+        cells,
+        jobs=jobs,
+        cache=cache,
+        image_cache=image_cache,
+        executor=executor,
+        require_cached=require_cached,
+    )
     baseline, measured = outcome.results[0], outcome.results[1:]
 
     # Offline replay: one canonical trace prices every point + Belady.

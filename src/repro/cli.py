@@ -353,7 +353,8 @@ def _infra_args(parser: argparse.ArgumentParser) -> None:
         "--executor",
         choices=["serial", "process"],
         default=None,
-        help="grid backend (default: process pool, or REPRO_EXECUTOR)",
+        help="grid backend (default: process pool, which runs in this "
+        "process at --jobs 1)",
     )
 
 

@@ -7,12 +7,7 @@ or on a local process pool (``"process"``), cold or from the on-disk
 :class:`ResultCache`.
 """
 
-from .batched import (
-    DEFAULT_MAX_IDLE_SWEEPS,
-    auto_chunk_size,
-    available_cpus,
-    execute_batch,
-)
+from .batched import auto_chunk_size, available_cpus, execute_batch
 from .cache import CacheStats, ResultCache, default_cache_dir, stable_hash
 from .executors import (
     DEFAULT_EXECUTOR,
@@ -31,7 +26,6 @@ from .grid import (
     cell_cache_key,
     derive_cell_seed,
     load_cached,
-    outcome_from_cache,
     run_grid,
 )
 
@@ -41,14 +35,12 @@ __all__ = [
     "GridOutcome",
     "run_grid",
     "load_cached",
-    "outcome_from_cache",
     "adopt_prepared",
     "derive_cell_seed",
     "cell_cache_key",
     "execute_batch",
     "auto_chunk_size",
     "available_cpus",
-    "DEFAULT_MAX_IDLE_SWEEPS",
     "GridExecutor",
     "SerialExecutor",
     "ProcessExecutor",

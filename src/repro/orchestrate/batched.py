@@ -1,18 +1,11 @@
-"""Cooperative multi-simulation executor: many live kernels, one process.
-
-Per-cell process dispatch pays payload pickling, interpreter spin-up,
-and a cold prepared-image memo for every task — overhead that dwarfs the
-simulation itself when a sweep is made of many small cells. This module
-amortizes it MQSim-style: :func:`execute_batch` hosts up to ``max_live``
-:class:`~repro.platforms.runner.PlatformRun` instances inside one
-process, round-robining bounded :meth:`~repro.sim.kernel.Simulator.step`
-slices across them so all of them share one warm
-``_PREPARED_MEMO`` and one interpreter, and emitting incremental
-progress heartbeats between slices.
+"""The one cell executor: cells run one at a time, payloads stream out.
 
 This is the only code that simulates a grid cell: every executor
 backend runs its cells through :func:`execute_batch`, in process or in
-its workers.
+its pool workers, so a batch shares one interpreter and one warm
+``_PREPARED_MEMO``. Each cell runs to completion and is dropped before
+the next starts, and its payload is yielded at once: the caller stores
+it while later cells run, and one device model is alive at a time.
 
 Delivery-order guarantee: each kernel is driven only through ``step``,
 which delivers in exactly the order one ``run()`` call would (see
@@ -35,37 +28,18 @@ import math
 import os
 import sys
 import time
-from collections import deque
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..platforms.runner import PlatformRun
 from .envcfg import env_float
 from .grid import CELL_DOC, _prepared_for
 
-__all__ = [
-    "execute_batch",
-    "available_cpus",
-    "auto_chunk_size",
-    "DEFAULT_SLICE_EVENTS",
-    "DEFAULT_MAX_LIVE",
-    "DEFAULT_MAX_IDLE_SWEEPS",
-]
+__all__ = ["execute_batch", "available_cpus", "auto_chunk_size"]
 
-# One slice is the unit of interleaving: large enough that slice
-# bookkeeping vanishes against kernel work, small enough that heartbeats
-# and refills stay responsive for cells of any size.
-DEFAULT_SLICE_EVENTS = 50_000
-
-# Live kernels held concurrently per process. Bounds peak memory (each
-# live run owns a full device model) while still overlapping the
-# finalize/start bookkeeping of neighbouring cells.
-DEFAULT_MAX_LIVE = 4
-
-# Stall guard: a healthy kernel only ever delivers fewer events than the
-# slice budget when it has drained (``finished``); a run that repeatedly
-# comes up short *without* finishing is wedged, and the sweep loop must
-# fail loudly instead of spinning on it forever.
-DEFAULT_MAX_IDLE_SWEEPS = 8
+# Events per ``step`` slice: large enough that slice bookkeeping
+# vanishes against kernel work, small enough that heartbeats stay
+# responsive for cells of any size.
+_SLICE_EVENTS = 50_000
 
 
 _CGROUP_CPU_MAX = "/sys/fs/cgroup/cpu.max"
@@ -150,82 +124,46 @@ def _start_run(job: Tuple) -> PlatformRun:
 def execute_batch(
     jobs: Sequence[Tuple],
     *,
-    max_live: int = DEFAULT_MAX_LIVE,
-    slice_events: int = DEFAULT_SLICE_EVENTS,
     heartbeat: Optional[Callable[[Dict], None]] = None,
-    max_idle_sweeps: int = DEFAULT_MAX_IDLE_SWEEPS,
-) -> List[Dict]:
-    """Simulate a batch of cells cooperatively; payloads in job order.
+) -> Iterator[Dict]:
+    """Simulate cells one after another; yield each payload in job order.
 
     ``jobs`` are the ``(cell, seed, image_cache_root)`` tuples every
-    executor backend consumes. Up to ``max_live`` simulations are
-    live at once; each sweep gives every live kernel one
-    ``step(slice_events)`` slice, finalizes the ones that drained, and
-    refills from the queue. ``heartbeat`` (if set) is called after every
-    sweep with ``{"completed", "live", "total", "events"}``.
-
-    A run that delivers fewer than ``slice_events`` events without
-    reporting ``finished`` for ``max_idle_sweeps`` consecutive sweeps is
-    declared stalled and raises ``RuntimeError`` — the loop never spins
-    silently on a wedged kernel.
+    executor backend consumes. A cell is stepped until a slice comes
+    back short (its kernel drained), then finalized — which raises
+    ``RuntimeError`` if its pipeline stalled — and dropped before its
+    payload is yielded and the next cell starts. ``heartbeat`` (if set)
+    is called after every slice with ``{"completed", "total",
+    "events"}``; the beat for a cell's last slice follows its finalize.
     """
-    if max_live < 1:
-        raise ValueError("max_live must be >= 1")
-    if max_idle_sweeps < 1:
-        raise ValueError("max_idle_sweeps must be >= 1")
-    jobs = list(jobs)
-    payloads: List[Optional[Dict]] = [None] * len(jobs)
-    pending = deque(range(len(jobs)))
-    live: List[Tuple[int, PlatformRun]] = []
-    idle_sweeps: Dict[int, int] = {}
-    completed = 0
+    total = len(jobs)
     events = 0
-    while live or pending:
-        while pending and len(live) < max_live:
-            i = pending.popleft()
-            live.append((i, _start_run(jobs[i])))
-        still_live: List[Tuple[int, PlatformRun]] = []
-        for i, run in live:
-            n = run.step(slice_events)
-            events += n
-            if n < slice_events and run.finished:
-                payloads[i] = CELL_DOC.to_payload(run.finalize())
-                completed += 1
-                idle_sweeps.pop(i, None)
-            elif n < slice_events:
-                # Short slice with an unfinished kernel: stall suspect.
-                idle = idle_sweeps.get(i, 0) + 1
-                if idle >= max_idle_sweeps:
-                    raise RuntimeError(
-                        f"simulation stalled: job {i} of {len(jobs)} "
-                        f"delivered {n} < {slice_events} events in "
-                        f"{idle} consecutive sweeps without finishing "
-                        f"({completed}/{len(jobs)} cells completed, "
-                        f"{events} events total)"
-                    )
-                idle_sweeps[i] = idle
-                still_live.append((i, run))
-            else:
-                idle_sweeps.pop(i, None)
-                still_live.append((i, run))
-        live = still_live
+
+    def beat(completed: int) -> None:
         if heartbeat is not None:
-            heartbeat(
-                {
-                    "completed": completed,
-                    "live": len(live),
-                    "total": len(jobs),
-                    "events": events,
-                }
-            )
-    return payloads  # type: ignore[return-value]
+            heartbeat({"completed": completed, "total": total, "events": events})
+
+    for completed, job in enumerate(jobs):
+        run = _start_run(job)
+        while True:
+            n = run.step(_SLICE_EVENTS)
+            events += n
+            if n < _SLICE_EVENTS:
+                break
+            beat(completed)
+        payload = CELL_DOC.to_payload(run.finalize())
+        # Free this cell's device before the caller resumes us and the
+        # next cell allocates its own.
+        del run
+        beat(completed + 1)
+        yield payload
 
 
 def _env_heartbeat() -> Optional[Callable[[Dict], None]]:
     """Periodic stderr progress line, gated by ``REPRO_GRID_HEARTBEAT_S``.
 
     Workers run far from the orchestrating terminal; setting the env var
-    to a positive number of seconds makes each one report sweep progress
+    to a positive number of seconds makes each one report its progress
     at that cadence (``0``/unset: silent, the default). Invalid values
     warn once and fall back to silent rather than crashing the worker.
     """
@@ -241,7 +179,7 @@ def _env_heartbeat() -> Optional[Callable[[Dict], None]]:
             print(
                 f"[repro.grid pid={os.getpid()}] "
                 f"{progress['completed']}/{progress['total']} cells done, "
-                f"{progress['live']} live, {progress['events']} events",
+                f"{progress['events']} events",
                 file=sys.stderr,
                 flush=True,
             )
@@ -251,4 +189,4 @@ def _env_heartbeat() -> Optional[Callable[[Dict], None]]:
 
 def _execute_chunk(chunk_jobs: Sequence[Tuple]) -> List[Dict]:
     """Worker entry point: one pool task simulates a whole chunk."""
-    return execute_batch(chunk_jobs, heartbeat=_env_heartbeat())
+    return list(execute_batch(chunk_jobs, heartbeat=_env_heartbeat()))

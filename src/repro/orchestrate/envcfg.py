@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import os
 import sys
-from typing import Optional, Sequence, Set, Tuple
+from typing import Optional, Set, Tuple
 
-__all__ = ["env_float", "env_choice", "warn_once", "reset_warnings"]
+__all__ = ["env_float", "warn_once", "reset_warnings"]
 
 # (variable, raw value) pairs already warned about; one line per mistake,
 # not one per run_grid call.
@@ -63,23 +63,6 @@ def env_float(
             raw,
             f"ignoring {name}={raw!r} (must be >= {minimum!r}); "
             f"using default {default!r}",
-        )
-        return default
-    return value
-
-
-def env_choice(name: str, default: str, choices: Sequence[str]) -> str:
-    """One-of-``choices`` lookup with loud-but-safe failure."""
-    raw = os.environ.get(name, "")
-    value = raw.strip().lower()
-    if not value:
-        return default
-    if value not in choices:
-        warn_once(
-            name,
-            raw,
-            f"ignoring {name}={raw!r} (expected one of "
-            f"{', '.join(sorted(choices))}); using default {default!r}",
         )
         return default
     return value

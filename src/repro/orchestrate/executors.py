@@ -4,34 +4,31 @@
 (pending cells, derived seeds, cache keys); an executor decides *where*
 the simulations run. Two backends ship:
 
-* ``serial`` — everything in the calling process through the
-  cooperative batched executor (the zero-dispatch floor; also the
-  bit-identity reference);
+* ``serial`` — everything in the calling process through
+  :func:`~repro.orchestrate.batched.execute_batch` (the zero-dispatch
+  floor; also the bit-identity reference);
 * ``process`` — the default: a local ``ProcessPoolExecutor`` fan-out of
-  auto-sized chunks, each run by the same batched executor.
+  auto-sized chunks, each run by the same ``execute_batch``.
 
-Both consume the same ``(cell, seed, image_cache_root)`` job tuples,
-simulate them through :func:`~repro.orchestrate.batched.execute_batch`,
-and return payload dicts in job order. Determinism is the protocol's
-core contract: per-cell seeds are fixed *before* dispatch, a cell's
-simulation depends only on (cell, seed), and payloads are plain JSON
-values by construction (:data:`repro.orchestrate.grid.CELL_DOC`), so
-pickling them back from a pool worker changes nothing — ``process`` is
-bit-identical to ``serial``.
+Both consume the same ``(cell, seed, image_cache_root)`` job tuples and
+hand payload dicts back as an iterable in job order, each as soon as it
+is ready, so ``run_grid`` stores a finished cell before a later one can
+fail. Determinism is the protocol's core contract: per-cell seeds are
+fixed *before* dispatch, a cell's simulation depends only on (cell,
+seed), and payloads are plain JSON values by construction
+(:data:`repro.orchestrate.grid.CELL_DOC`), so pickling them back from a
+pool worker changes nothing — ``process`` is bit-identical to
+``serial``.
 
 The registry is string-keyed so sweeps and the CLI can select a backend
-by name (``executor="serial"`` / ``--executor serial`` /
-``REPRO_EXECUTOR=serial``); an invalid environment value warns once and
-falls back to the default rather than crashing or silently serializing.
+by name (``executor="serial"`` / ``--executor serial``).
 """
 
 from __future__ import annotations
 
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Dict, List, Sequence, Tuple
-
-from .envcfg import env_choice
+from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 __all__ = [
     "GridExecutor",
@@ -51,14 +48,15 @@ Job = Tuple  # (cell, seed, image_cache_root)
 class GridExecutor:
     """Protocol for grid backends: jobs in, payload dicts out, in order.
 
-    ``jobs`` is the caller's requested parallelism; backends are free to
-    interpret it as a capacity hint, never as anything that may change
-    results.
+    ``run`` returns an iterable of payloads in job order (a list, or a
+    generator that yields each one as it is ready). ``jobs`` is the
+    caller's requested parallelism; backends are free to interpret it
+    as a capacity hint, never as anything that may change results.
     """
 
     name = "abstract"
 
-    def run(self, jobs_args: Sequence[Job], *, jobs: int = 1) -> List[Dict]:
+    def run(self, jobs_args: Sequence[Job], *, jobs: int = 1) -> Iterable[Dict]:
         raise NotImplementedError
 
 
@@ -67,7 +65,7 @@ class SerialExecutor(GridExecutor):
 
     name = "serial"
 
-    def run(self, jobs_args: Sequence[Job], *, jobs: int = 1) -> List[Dict]:
+    def run(self, jobs_args: Sequence[Job], *, jobs: int = 1) -> Iterator[Dict]:
         from .batched import execute_batch
 
         return execute_batch(jobs_args)
@@ -85,12 +83,13 @@ class ProcessExecutor(GridExecutor):
     chunks, one pool task each. Effective workers are capped at the CPUs
     this process may use (a worker beyond that only adds fork + pickling
     overhead), and the run degrades to pure in-process batching when a
-    pool cannot help.
+    pool cannot help. Each chunk's payloads are yielded as ``pool.map``
+    hands that chunk back, in chunk order.
     """
 
     name = "process"
 
-    def run(self, jobs_args: Sequence[Job], *, jobs: int = 1) -> List[Dict]:
+    def run(self, jobs_args: Sequence[Job], *, jobs: int = 1) -> Iterator[Dict]:
         from .batched import (
             _execute_chunk,
             auto_chunk_size,
@@ -104,16 +103,14 @@ class ProcessExecutor(GridExecutor):
             jobs_args[i : i + size] for i in range(0, len(jobs_args), size)
         ]
         workers = min(jobs, available_cpus(), len(chunks))
-        if workers > 1:
-            with ProcessPoolExecutor(
-                max_workers=workers, mp_context=_pool_context()
-            ) as pool:
-                return [
-                    p
-                    for batch in pool.map(_execute_chunk, chunks)
-                    for p in batch
-                ]
-        return execute_batch(jobs_args)
+        if workers <= 1:
+            yield from execute_batch(jobs_args)
+            return
+        with ProcessPoolExecutor(
+            max_workers=workers, mp_context=_pool_context()
+        ) as pool:
+            for batch in pool.map(_execute_chunk, chunks):
+                yield from batch
 
 
 _EXECUTORS: Dict[str, Callable[[], GridExecutor]] = {
@@ -139,14 +136,11 @@ def executor_by_name(name: str) -> GridExecutor:
 def resolve_executor(executor) -> GridExecutor:
     """Map ``run_grid``'s ``executor=`` argument onto a backend instance.
 
-    ``None`` consults ``REPRO_EXECUTOR`` (invalid values warn once and
-    fall back to ``process``); strings look up the registry; anything
+    ``None`` selects ``process``; strings look up the registry; anything
     with a ``run`` method is used as-is.
     """
     if executor is None:
-        return executor_by_name(
-            env_choice("REPRO_EXECUTOR", DEFAULT_EXECUTOR, executor_names())
-        )
+        executor = DEFAULT_EXECUTOR
     if isinstance(executor, str):
         return executor_by_name(executor)
     if hasattr(executor, "run"):

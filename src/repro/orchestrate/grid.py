@@ -46,7 +46,6 @@ __all__ = [
     "GridOutcome",
     "run_grid",
     "load_cached",
-    "outcome_from_cache",
     "derive_cell_seed",
     "cell_cache_key",
     "adopt_prepared",
@@ -279,20 +278,25 @@ def run_grid(
     base_seed: int = 0,
     image_cache=None,
     executor=None,
+    require_cached: bool = False,
 ) -> GridOutcome:
     """Run every cell, in parallel, skipping cells already in ``cache``.
 
     Returns results in cell order. All results — fresh, parallel, or
     cached — are rebuilt by :data:`CELL_DOC` from a payload of plain JSON
     values (a fresh one as built, a cached one as decoded from disk), so
-    they are interchangeable bit for bit. A fresh payload is encoded
-    once, by :meth:`ResultCache.put`.
+    they are interchangeable bit for bit. A fresh payload is stored
+    (encoded once, by :meth:`ResultCache.put`) as the backend hands it
+    over, so a failing cell leaves every cell before it cached.
+
+    ``require_cached=True`` (the warm-cache render path) needs a
+    ``cache``, and any miss raises ``KeyError`` naming the missing cells
+    before anything is prepared or simulated.
 
     ``executor`` picks the backend that actually runs pending cells: a
     registered name (``"serial"`` or ``"process"``), a
     :class:`~repro.orchestrate.executors.GridExecutor` instance, or
-    ``None`` to consult ``REPRO_EXECUTOR`` and default to the local
-    process pool. Every backend simulates through
+    ``None`` for the local process pool. Every backend simulates through
     :func:`~repro.orchestrate.batched.execute_batch`, and per-cell seeds
     and cache keys are fixed *before* dispatch, so every backend produces
     bit-identical results.
@@ -310,6 +314,8 @@ def run_grid(
     from .batched import available_cpus
     from .executors import resolve_executor
 
+    if require_cached and cache is None:
+        raise ValueError("require_cached needs a result cache")
     if jobs is None or jobs == 0:
         jobs = available_cpus()
     if jobs < 1:
@@ -324,13 +330,25 @@ def run_grid(
 
     results: List[Optional[RunResult]] = [CELL_DOC.load(cache, k) for k in keys]
     pending = [i for i, result in enumerate(results) if result is None]
+    if require_cached and pending:
+        missing = [
+            f"{cells[i].resolved_platform().name}/"
+            f"{cells[i].resolved_workload().name}"
+            for i in pending
+        ]
+        raise KeyError(
+            f"{len(missing)} of {len(cells)} cells not in result cache "
+            f"{cache.root}: {', '.join(missing[:8])}"
+            + ("..." if len(missing) > 8 else "")
+            + " — run the sweep without --from-cache first"
+        )
 
-    icache = _resolve_image_cache(image_cache, cache)
-    icache_root = str(icache.root) if icache is not None else None
     builds_before = _builder.BUILD_COUNTER.count
     image_hits_before = _imagecache.COUNTERS.hits
-
+    stored = 0
     if pending:
+        icache = _resolve_image_cache(image_cache, cache)
+        icache_root = str(icache.root) if icache is not None else None
         # Pre-warm each distinct prepared image once in this process:
         # fork workers inherit the memo, and the disk cache (when set)
         # covers spawn workers and future runs.
@@ -343,22 +361,23 @@ def run_grid(
                 seen.add((spec, page_size, cell.layout))
                 _prepared_for(spec, page_size, icache_root, cell.layout)
 
-    jobs_args = [(cells[i], seeds[i], icache_root) for i in pending]
-    fresh = grid_executor.run(jobs_args, jobs=jobs) if jobs_args else []
-    if len(fresh) != len(jobs_args):
+        jobs_args = [(cells[i], seeds[i], icache_root) for i in pending]
+        for payload in grid_executor.run(jobs_args, jobs=jobs):
+            if stored < len(pending):
+                i = pending[stored]
+                results[i] = CELL_DOC.store(
+                    cache,
+                    keys[i],
+                    payload,
+                    platform=cells[i].resolved_platform().name,
+                    workload=cells[i].resolved_workload().name,
+                    seed=seeds[i],
+                )
+            stored += 1
+    if stored != len(pending):
         raise RuntimeError(
-            f"executor {grid_executor.name!r} returned {len(fresh)} payloads "
-            f"for {len(jobs_args)} pending cells"
-        )
-
-    for i, payload in zip(pending, fresh):
-        results[i] = CELL_DOC.store(
-            cache,
-            keys[i],
-            payload,
-            platform=cells[i].resolved_platform().name,
-            workload=cells[i].resolved_workload().name,
-            seed=seeds[i],
+            f"executor {grid_executor.name!r} returned {stored} payloads "
+            f"for {len(pending)} pending cells"
         )
 
     pending_set = set(pending)
@@ -389,43 +408,3 @@ def load_cached(
         seed = cell.seed if cell.seed is not None else derive_cell_seed(base_seed, cell)
         out.append(CELL_DOC.load(cache, cell_cache_key(cell, seed)))
     return out
-
-
-def outcome_from_cache(
-    cells: Sequence[GridCell],
-    cache: ResultCache,
-    *,
-    base_seed: int = 0,
-) -> GridOutcome:
-    """A :class:`GridOutcome` built purely from cached results.
-
-    The warm-cache figure path: rendering benchmarks re-plot a finished
-    sweep with zero simulation and zero image builds. Any miss raises
-    ``KeyError`` naming the missing cells — never silently simulates.
-    """
-    cells = list(cells)
-    seeds = [
-        cell.seed if cell.seed is not None else derive_cell_seed(base_seed, cell)
-        for cell in cells
-    ]
-    keys = [cell_cache_key(cell, seed) for cell, seed in zip(cells, seeds)]
-    results = [CELL_DOC.load(cache, key) for key in keys]
-    missing = [
-        f"{cell.resolved_platform().name}/{cell.resolved_workload().name}"
-        for cell, result in zip(cells, results)
-        if result is None
-    ]
-    if missing:
-        raise KeyError(
-            f"{len(missing)} of {len(cells)} cells not in result cache "
-            f"{cache.root}: {', '.join(missing[:8])}"
-            + ("..." if len(missing) > 8 else "")
-            + " — run the sweep without --from-cache first"
-        )
-    return GridOutcome(
-        results=results,
-        keys=keys,
-        from_cache=[True] * len(cells),
-        executed=0,
-        cache_hits=len(cells),
-    )

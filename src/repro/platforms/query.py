@@ -73,12 +73,7 @@ def measure_query_latency(
     ``jobs`` all apply. ``require_cached=True`` raises ``KeyError`` on
     any miss instead of simulating (the warm-cache figure path).
     """
-    from ..orchestrate.grid import (
-        GridCell,
-        adopt_prepared,
-        outcome_from_cache,
-        run_grid,
-    )
+    from ..orchestrate.grid import GridCell, adopt_prepared, run_grid
 
     if num_queries < 1:
         raise ValueError("need at least one query")
@@ -104,12 +99,13 @@ def measure_query_latency(
         )
         for q in range(num_queries)
     ]
-    if require_cached:
-        if cache is None:
-            raise ValueError("require_cached needs a result cache")
-        grid = outcome_from_cache(cells, cache)
-    else:
-        grid = run_grid(cells, jobs=jobs, cache=cache, image_cache=image_cache)
+    grid = run_grid(
+        cells,
+        jobs=jobs,
+        cache=cache,
+        image_cache=image_cache,
+        require_cached=require_cached,
+    )
     return QueryLatencyResult(
         platform=platform,
         batch_size=batch_size,

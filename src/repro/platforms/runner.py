@@ -135,18 +135,17 @@ def _pick_targets(
 
 
 class PlatformRun:
-    """One platform simulation, set up eagerly and steppable cooperatively.
+    """One platform simulation, set up eagerly and steppable in slices.
 
     Construction does everything up to (but not including) driving the
     event loop: workload preparation, device/engine wiring, batch target
     selection, and pipeline launch. From there the owner either calls
     :meth:`run` (the blocking form — exactly what :func:`run_platform`
-    does) or interleaves :meth:`step` slices with other live
-    ``PlatformRun`` instances and calls :meth:`finalize` once
-    :attr:`finished` — the batched grid executor
-    (:mod:`repro.orchestrate.batched`) hosts many of these in one
-    process. Both drive the same kernel delivery order, so the
-    :class:`RunResult` is bit-identical either way.
+    does) or drives it in :meth:`step` slices and calls :meth:`finalize`
+    once :attr:`finished` — the grid executor
+    (:mod:`repro.orchestrate.batched`) does, one cell at a time. Both
+    drive the same kernel delivery order, so the :class:`RunResult` is
+    bit-identical either way.
     """
 
     def __init__(

@@ -372,7 +372,6 @@ def scaleout_outcome(
         _prepared_for,
         _resolve_image_cache,
         adopt_prepared,
-        outcome_from_cache,
         run_grid,
     )
 
@@ -494,16 +493,14 @@ def scaleout_outcome(
         )
         for s in range(num_devices)
     ]
-    if require_cached:
-        grid = outcome_from_cache(cells, cache)
-    else:
-        grid = run_grid(
-            cells,
-            jobs=jobs,
-            cache=cache,
-            image_cache=image_cache,
-            executor=executor,
-        )
+    grid = run_grid(
+        cells,
+        jobs=jobs,
+        cache=cache,
+        image_cache=image_cache,
+        executor=executor,
+        require_cached=require_cached,
+    )
     devices: List[RunResult] = grid.results
 
     # Measured exchange: every sampled position whose node lives on a

@@ -17,9 +17,7 @@ the open-loop complement — the DL-service-on-large-graphs setting:
 * each dispatched batch's *service time* is a full BeaconGNN platform
   simulation — the same :class:`~repro.orchestrate.grid.GridCell` per-
   query runs the closed-loop harness uses, fanned through
-  :func:`~repro.orchestrate.run_grid` (so the cooperative batched
-  executor interleaves many live :class:`~repro.platforms.runner.
-  PlatformRun` kernels in one process, and every run flows through the
+  :func:`~repro.orchestrate.run_grid` (so every run flows through the
   content-addressed result cache).
 
 The queueing dynamics play out in *virtual service time*: arrivals,
@@ -222,14 +220,13 @@ class BatchService:
 
     Resolution order per batch cell: in-memory memo, then the
     content-addressed result cache, then a fresh simulation through
-    :func:`~repro.orchestrate.run_grid` (which engages the cooperative
-    batched executor — many live kernels, one warm prepared-image memo).
+    :func:`~repro.orchestrate.run_grid` (cells run one at a time over
+    one warm prepared-image memo, each stored as it finishes).
     One instance is shared across all the points of a load sweep, so a
     query cell simulated for the 10-QPS point is a memo hit at every
     other point that forms the same batch.
 
-    ``require_cached=True`` loads cells through
-    :func:`~repro.orchestrate.outcome_from_cache` instead — any miss
+    ``require_cached=True`` is passed on to ``run_grid``: any miss
     raises ``KeyError``, never simulates (the warm-cache render path).
     """
 
@@ -267,22 +264,20 @@ class BatchService:
         return key
 
     def prefetch(self, cells) -> None:
-        """Resolve many cells at once (the interleaved fan-out path)."""
-        from ..orchestrate.grid import outcome_from_cache, run_grid
+        """Resolve many cells through one ``run_grid`` call."""
+        from ..orchestrate.grid import run_grid
 
         todo = [c for c in cells if self._key(c) not in self._memo]
         if not todo:
             return
-        if self.require_cached:
-            outcome = outcome_from_cache(todo, self.cache)
-        else:
-            outcome = run_grid(
-                todo,
-                jobs=self.jobs,
-                cache=self.cache,
-                image_cache=self.image_cache,
-                executor=self.executor,
-            )
+        outcome = run_grid(
+            todo,
+            jobs=self.jobs,
+            cache=self.cache,
+            image_cache=self.image_cache,
+            executor=self.executor,
+            require_cached=self.require_cached,
+        )
         self._memo.update(zip(outcome.keys, outcome.results))
         self.cells_executed += outcome.executed
         self.cell_cache_hits += outcome.cache_hits
@@ -475,8 +470,7 @@ def serve(
         raise ValueError("arrival process produced decreasing timestamps")
 
     # Single-query batches are fully determined by the arrival index, so
-    # the whole query population fans out through one interleaved grid
-    # up front (shared across every sweep point via the service memo).
+    # the whole query population fans out through one grid up front (shared across every sweep point via the service memo).
     if max_batch == 1 and not service.require_cached:
         service.prefetch([query_cell(q, 1) for q in range(num_queries)])
 

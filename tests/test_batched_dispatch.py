@@ -1,17 +1,21 @@
 """Differential suite: batched dispatch is bit-identical.
 
-Every executor backend simulates through the cooperative in-process
-executor (:func:`repro.orchestrate.execute_batch`), shipping auto-sized
-chunks of cells to pool workers. These tests pin the contract that rests
-on: ``execute_batch`` payloads equal one-shot
+Every executor backend simulates through the in-process cell executor
+(:func:`repro.orchestrate.execute_batch`), shipping auto-sized chunks of
+cells to pool workers. These tests pin the contract that rests on:
+``execute_batch`` payloads equal one-shot
 :func:`repro.platforms.run_platform` runs (the untouched
 ``Simulator.run()`` loop, an independent per-cell reference), the
-process pool at every ``jobs`` equals ``serial``, and ``execute_batch``
-itself reproduces the golden fixtures in ``tests/data/``.
+process pool at every ``jobs`` equals ``serial``, ``execute_batch``
+itself reproduces the golden fixtures in ``tests/data/``, and it
+streams: one cell alive at a time, each payload handed over as soon as
+its cell is finalized.
 """
 
 import hashlib
 import json
+import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -26,8 +30,9 @@ from repro.orchestrate import (
     executors,
     run_grid,
 )
+from repro.orchestrate.batched import _start_run
 from repro.orchestrate.cache import json_default
-from repro.platforms import platform_names, run_platform
+from repro.platforms import PlatformRun, platform_names, run_platform
 
 GOLDEN = Path(__file__).parent / "data" / "golden_runresult_sha256.json"
 
@@ -83,33 +88,29 @@ class TestExecuteBatch:
 
     @pytest.mark.parametrize("name", platform_names())
     def test_every_platform_matches_one_shot(self, name):
-        # Two seeds of one platform, interleaved in one batch.
+        # Two seeds of one platform in one batch.
         cell = GridCell(platform=name, workload="ogbn", seed=0, **TINY)
         jobs_args = [(cell, seed, None) for seed in (3, 4)]
         expected = [_digest(_one_shot(job)) for job in jobs_args]
-        got = [_digest(p) for p in execute_batch(jobs_args, max_live=2)]
-        assert got == expected
-
-    @pytest.mark.parametrize("max_live", [1, 2, 8])
-    def test_max_live_does_not_change_results(self, max_live):
-        cells = tiny_cells(4)
-        jobs_args = [(cell, cell.seed, None) for cell in cells]
-        expected = [_digest(_one_shot(job)) for job in jobs_args]
-        got = [_digest(p) for p in execute_batch(jobs_args, max_live=max_live)]
+        got = [_digest(p) for p in execute_batch(jobs_args)]
         assert got == expected
 
     def test_small_slices_do_not_change_results(self):
-        cells = tiny_cells(3)
-        jobs_args = [(cell, cell.seed, None) for cell in cells]
-        expected = [_digest(_one_shot(job)) for job in jobs_args]
-        got = [
-            _digest(p)
-            for p in execute_batch(jobs_args, max_live=2, slice_events=97)
-        ]
-        assert got == expected
+        """A run stepped 97 events at a time equals one ``run()`` call.
+
+        perfbench times ``PlatformRun.step`` calls, so the slice size
+        must never show in a result.
+        """
+        for job in [(cell, cell.seed, None) for cell in tiny_cells(3)]:
+            run = _start_run(job)
+            while not run.finished:
+                run.step(97)
+            assert _digest(CELL_DOC.to_payload(run.finalize())) == _digest(
+                _one_shot(job)
+            )
 
     def test_reproduces_golden_fixture(self):
-        """The cooperative executor hits the repo-wide golden digests."""
+        """The cell executor hits the repo-wide golden digests."""
         golden = json.loads(GOLDEN.read_text())
         cells = [
             GridCell(
@@ -125,17 +126,16 @@ class TestExecuteBatch:
             for name in sorted(golden)
         ]
         jobs_args = [(cell, 0, None) for cell in cells]
-        digests = [_digest(p) for p in execute_batch(jobs_args, max_live=3)]
+        digests = [_digest(p) for p in execute_batch(jobs_args)]
         assert digests == [golden[name] for name in sorted(golden)]
 
     def test_heartbeat_reports_progress(self):
         cells = tiny_cells(3)
         jobs_args = [(cell, cell.seed, None) for cell in cells]
         beats = []
-        execute_batch(jobs_args, max_live=2, heartbeat=beats.append)
+        list(execute_batch(jobs_args, heartbeat=beats.append))
         assert beats, "heartbeat never fired"
         assert beats[-1]["completed"] == 3
-        assert beats[-1]["live"] == 0
         assert beats[-1]["total"] == 3
         assert beats[-1]["events"] > 0
         assert all(
@@ -143,12 +143,101 @@ class TestExecuteBatch:
             for b, a in zip(beats, beats[1:])
         )
 
-    def test_rejects_bad_max_live(self):
-        with pytest.raises(ValueError):
-            execute_batch([], max_live=0)
-
     def test_empty_batch(self):
-        assert execute_batch([]) == []
+        assert list(execute_batch([])) == []
+
+
+def _count_starts(monkeypatch):
+    """Patch ``_start_run`` to record each run it starts; returns the log."""
+    started = []
+
+    def recording(job):
+        run = _start_run(job)
+        started.append(weakref.ref(run))
+        return run
+
+    monkeypatch.setattr(batched, "_start_run", recording)
+    return started
+
+
+class TestStreaming:
+    """``execute_batch`` runs one cell at a time and hands each payload
+    over as soon as that cell is finalized."""
+
+    def test_starts_each_cell_only_when_its_payload_is_asked_for(
+        self, monkeypatch
+    ):
+        started = _count_starts(monkeypatch)
+        jobs_args = [(cell, cell.seed, None) for cell in tiny_cells(3)]
+        payloads = execute_batch(jobs_args)
+        assert started == []
+        for n, job in enumerate(jobs_args, start=1):
+            assert _digest(next(payloads)) == _digest(_one_shot(job))
+            assert len(started) == n
+        assert next(payloads, None) is None
+
+    @pytest.mark.skipif(
+        sys.implementation.name != "cpython",
+        reason="freeing by reference counting is CPython's behaviour",
+    )
+    def test_drops_each_run_before_yielding_its_payload(self, monkeypatch):
+        started = _count_starts(monkeypatch)
+        jobs_args = [(cell, cell.seed, None) for cell in tiny_cells(2)]
+        for _payload in execute_batch(jobs_args):
+            # Only one device model is ever alive, and none while the
+            # caller holds a payload.
+            assert [ref() for ref in started] == [None] * len(started)
+
+    def test_slice_size_never_shows_in_payloads(self, monkeypatch):
+        monkeypatch.setattr(batched, "_SLICE_EVENTS", 97)
+        jobs_args = [(cell, cell.seed, None) for cell in tiny_cells(3)]
+        beats = []
+        got = [_digest(p) for p in execute_batch(jobs_args, heartbeat=beats.append)]
+        assert got == [_digest(_one_shot(job)) for job in jobs_args]
+        assert len(beats) > len(jobs_args), "no cell ran past one slice"
+
+    def test_heartbeat_counts_every_delivered_event(self, monkeypatch):
+        monkeypatch.setattr(batched, "_SLICE_EVENTS", 97)
+        slices = []
+        step = PlatformRun.step
+
+        def recording(run, max_events=1):
+            n = step(run, max_events)
+            slices.append(n)
+            return n
+
+        monkeypatch.setattr(PlatformRun, "step", recording)
+        jobs_args = [(cell, cell.seed, None) for cell in tiny_cells(3)]
+        beats = []
+        list(execute_batch(jobs_args, heartbeat=beats.append))
+        # One beat per full slice, plus one as each cell finishes.
+        full = sum(1 for n in slices if n == 97)
+        assert len(beats) == full + len(jobs_args)
+        assert all(set(b) == {"completed", "total", "events"} for b in beats)
+        assert beats[-1] == {"completed": 3, "total": 3, "events": sum(slices)}
+        for key in ("completed", "events"):
+            values = [b[key] for b in beats]
+            assert values == sorted(values), key
+
+    def test_failing_cell_ends_the_batch_after_the_payloads_before_it(
+        self, monkeypatch
+    ):
+        started = _count_starts(monkeypatch)
+        finalize = PlatformRun.finalize
+
+        def failing(run):
+            if run._platform.name == "bg2":
+                raise RuntimeError("injected failure in bg2")
+            return finalize(run)
+
+        monkeypatch.setattr(PlatformRun, "finalize", failing)
+        jobs_args = [(cell, cell.seed, None) for cell in tiny_cells(3)]
+        payloads = execute_batch(jobs_args)
+        assert _digest(next(payloads)) == _digest(_one_shot(jobs_args[0]))
+        with pytest.raises(RuntimeError, match="injected failure in bg2"):
+            next(payloads)
+        assert len(started) == 2  # the third cell never started
+        assert next(payloads, None) is None
 
 
 class TestChunkedRunGrid:

@@ -236,6 +236,32 @@ class TestSweep:
         assert served.from_cache
         assert served.cells_executed == 0
 
+    def test_require_cached_renders_from_cells_when_document_lost(
+        self, prepared, tmp_path
+    ):
+        cache = ResultCache(tmp_path / "results")
+        kwargs = dict(
+            capacities_mb=(0.25,),
+            policies=("lru",),
+            batch_size=GOLDEN_PARAMS["batch_size"],
+            num_batches=GOLDEN_PARAMS["num_batches"],
+            num_hops=GOLDEN_PARAMS["num_hops"],
+            fanout=GOLDEN_PARAMS["fanout"],
+            seed=GOLDEN_PARAMS["seed"],
+        )
+        cold = sweep_cache("bg2", prepared, cache=cache, **kwargs)
+        document = cache.path_for(cold.key)
+        written = document.read_bytes()
+        document.unlink()  # the baseline and grid cells remain
+        served = sweep_cache(
+            "bg2", prepared, cache=cache, require_cached=True, **kwargs
+        )
+        assert not served.from_cache
+        assert served.cells_executed == 0
+        assert served.cell_cache_hits == cold.cells_executed == 2
+        assert served.sweep.to_dict() == cold.sweep.to_dict()
+        assert document.read_bytes() == written  # the document is rewritten
+
     def test_require_cached_raises_on_cold_cache(self, prepared, tmp_path):
         with pytest.raises(KeyError):
             sweep_cache(

@@ -2,9 +2,10 @@
 
 Covers the registry/resolution API, the hardened ``REPRO_*`` env
 parsing, the cgroup-aware CPU detection, that a backend is handed only
-the cells that missed the result cache, and — the load-bearing
-property — that the ``serial`` and ``process`` backends produce
-bit-identical payloads.
+the cells that missed the result cache, that its payloads are stored
+one by one as it hands them over, and — the load-bearing property —
+that the ``serial`` and ``process`` backends produce bit-identical
+payloads.
 """
 
 import hashlib
@@ -71,8 +72,7 @@ class TestRegistry:
         with pytest.raises(ValueError, match="unknown executor"):
             executor_by_name("carrier-pigeon")
 
-    def test_resolve_default_is_process(self, monkeypatch):
-        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
+    def test_resolve_default_is_process(self):
         assert DEFAULT_EXECUTOR == "process"
         assert isinstance(resolve_executor(None), ProcessExecutor)
 
@@ -84,19 +84,6 @@ class TestRegistry:
     def test_resolve_rejects_garbage(self):
         with pytest.raises(TypeError, match="executor must be"):
             resolve_executor(42)
-
-    def test_env_selects_backend(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "serial")
-        assert isinstance(resolve_executor(None), SerialExecutor)
-
-    def test_invalid_env_warns_once_and_falls_back(self, monkeypatch, capsys):
-        envcfg.reset_warnings()
-        monkeypatch.setenv("REPRO_EXECUTOR", "quantum")
-        assert isinstance(resolve_executor(None), ProcessExecutor)
-        assert isinstance(resolve_executor(None), ProcessExecutor)
-        err = capsys.readouterr().err
-        assert err.count("REPRO_EXECUTOR") == 1
-        assert "quantum" in err
 
 
 class TestBackendIdentity:
@@ -138,6 +125,16 @@ class TestBackendIdentity:
 
         with pytest.raises(RuntimeError, match="returned 0 payloads"):
             run_grid(tiny_cells(1), executor=Broken())
+
+    def test_executor_extra_payloads_rejected(self):
+        class Doubling(GridExecutor):
+            name = "doubling"
+
+            def run(self, jobs_args, *, jobs=1):
+                return list(SerialExecutor().run(jobs_args)) * 2
+
+        with pytest.raises(RuntimeError, match="returned 2 payloads for 1"):
+            run_grid(tiny_cells(1), executor=Doubling())
 
 
 class TestEnvHardening:
@@ -212,6 +209,74 @@ class TestPendingCellsOnly:
         assert backend.calls == []
         assert warm.executed == 0
         assert _digest(warm) == _digest(cold)
+
+
+class TestStreamingBackends:
+    """Payloads flow one at a time from the backend into the cache."""
+
+    @pytest.mark.parametrize("name", ["serial", "process"])
+    def test_backend_simulates_nothing_until_iterated(self, monkeypatch, name):
+        # ``process`` at jobs=1 runs its one chunk in this process.
+        started = []
+        start = batched._start_run
+
+        def recording(job):
+            started.append(job[1])
+            return start(job)
+
+        monkeypatch.setattr(batched, "_start_run", recording)
+        cells = tiny_cells(2)
+        payloads = executor_by_name(name).run(
+            [(cell, cell.seed, None) for cell in cells], jobs=1
+        )
+        assert started == []
+        next(payloads)
+        assert started == [cells[0].seed]
+        next(payloads)
+        assert started == [cells[0].seed, cells[1].seed]
+        assert next(payloads, None) is None
+
+    def test_run_grid_stores_each_payload_before_asking_for_the_next(
+        self, tmp_path
+    ):
+        cache = ResultCache(tmp_path)
+
+        class Watching:
+            """Notes the cache's size each time it is asked for more."""
+
+            name = "watching"
+
+            def __init__(self):
+                self.entries = []
+
+            def run(self, jobs_args, *, jobs=1):
+                for payload in SerialExecutor().run(jobs_args):
+                    self.entries.append(cache.stats().entries)
+                    yield payload
+                self.entries.append(cache.stats().entries)
+
+        backend = Watching()
+        outcome = run_grid(tiny_cells(3), jobs=1, cache=cache, executor=backend)
+        assert outcome.executed == 3
+        assert backend.entries == [0, 1, 2, 3]
+
+    def test_short_backend_keeps_the_payloads_it_returned(self, tmp_path):
+        class Quitting:
+            """Hands back the first payload, then stops."""
+
+            name = "quitting"
+
+            def run(self, jobs_args, *, jobs=1):
+                yield next(SerialExecutor().run(jobs_args))
+
+        cache = ResultCache(tmp_path)
+        cells = tiny_cells(2)
+        with pytest.raises(RuntimeError, match="returned 1 payloads for 2"):
+            run_grid(cells, jobs=1, cache=cache, executor=Quitting())
+        assert cache.stats().entries == 1
+        again = run_grid(cells, jobs=1, cache=cache, executor="serial")
+        assert again.from_cache == [True, False]
+        assert _digest(again) == _digest(run_grid(cells, executor="serial"))
 
 
 class TestAvailableCpus:

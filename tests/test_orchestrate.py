@@ -17,14 +17,14 @@ from repro.orchestrate import (
     CELL_DOC,
     GridCell,
     ResultCache,
+    batched,
     cell_cache_key,
     derive_cell_seed,
     load_cached,
-    outcome_from_cache,
     run_grid,
     stable_hash,
 )
-from repro.platforms import platform_by_name, run_platform
+from repro.platforms import PlatformRun, platform_by_name, run_platform
 from repro.ssd import ull_ssd
 from repro.workloads import workload_by_name
 
@@ -477,12 +477,12 @@ class TestImageSharing:
         assert len(_PREPARED_MEMO) == _PREPARED_MEMO_MAX
 
 
-class TestOutcomeFromCache:
+class TestRequireCached:
     def test_renders_a_finished_sweep(self, tmp_path):
         cache = ResultCache(tmp_path)
         cells = tiny_cells(platforms=("bg2", "cc"))
         cold = run_grid(cells, jobs=1, cache=cache)
-        rendered = outcome_from_cache(cells, cache)
+        rendered = run_grid(cells, cache=cache, require_cached=True)
         assert rendered.executed == 0
         assert rendered.cache_hits == len(cells)
         assert rendered.images_built == 0 and rendered.image_hits == 0
@@ -494,14 +494,115 @@ class TestOutcomeFromCache:
     def test_miss_raises_naming_the_cells(self, tmp_path):
         cache = ResultCache(tmp_path)
         with pytest.raises(KeyError, match=r"bg2/ogbn"):
-            outcome_from_cache(tiny_cells(platforms=("bg2",)), cache)
+            run_grid(
+                tiny_cells(platforms=("bg2",)), cache=cache, require_cached=True
+            )
 
     def test_partial_miss_counts(self, tmp_path):
         cache = ResultCache(tmp_path)
         hit, miss = tiny_cells(platforms=("bg2", "cc"))
         run_grid([hit], jobs=1, cache=cache)
         with pytest.raises(KeyError, match=r"1 of 2 cells"):
-            outcome_from_cache([hit, miss], cache)
+            run_grid([hit, miss], cache=cache, require_cached=True)
+
+    def test_needs_a_cache(self):
+        with pytest.raises(ValueError, match="require_cached needs a result cache"):
+            run_grid(tiny_cells(platforms=("bg2",)), require_cached=True)
+
+    def test_miss_prepares_and_dispatches_nothing(self, tmp_path, monkeypatch):
+        from repro.orchestrate import grid
+
+        class NeverRun:
+            name = "never"
+
+            def run(self, jobs_args, *, jobs=1):
+                raise AssertionError("require_cached dispatched a cell")
+
+        def no_image(*args, **kwargs):
+            raise AssertionError("require_cached prepared an image")
+
+        cache = ResultCache(tmp_path)
+        hit, miss = tiny_cells(platforms=("bg2", "cc"))
+        run_grid([hit], jobs=1, cache=cache)
+        monkeypatch.setattr(grid, "_prepared_for", no_image)
+        with pytest.raises(KeyError, match="cc/ogbn"):
+            run_grid(
+                [hit, miss], cache=cache, executor=NeverRun(), require_cached=True
+            )
+        assert cache.stats().entries == 1
+
+    def test_long_miss_list_names_the_first_eight(self, tmp_path):
+        cells = tiny_cells(
+            platforms=("bg1", "bg2", "cc", "glist", "smartsage"),
+            workloads=("ogbn", "reddit"),
+        )
+        with pytest.raises(KeyError) as missed:
+            run_grid(cells, cache=ResultCache(tmp_path), require_cached=True)
+        message = missed.value.args[0]
+        assert message.startswith("10 of 10 cells not in result cache")
+        named = message.split(": ", 1)[1].split("...")[0].split(", ")
+        assert named == [
+            f"{cell.platform}/{cell.workload}" for cell in cells[:8]
+        ]
+        assert message.endswith("... — run the sweep without --from-cache first")
+
+
+class TestStoreAsYouGo:
+    """A failing cell costs only itself: every cell that finished before
+    it is already in the cache, so a rerun simulates only what is left."""
+
+    @pytest.mark.parametrize(
+        "executor,jobs", [("serial", 1), ("process", 2)], ids=["serial", "process"]
+    )
+    def test_failing_cell_keeps_the_finished_ones(
+        self, tmp_path, monkeypatch, executor, jobs
+    ):
+        cache = ResultCache(tmp_path)
+        cells = tiny_cells(platforms=("bg2", "cc", "glist"))
+        finalize = PlatformRun.finalize
+
+        def failing(run):
+            if run._platform.name == "glist":
+                raise RuntimeError("injected failure in glist")
+            return finalize(run)
+
+        # Forked pool workers inherit the patched method; two CPUs make
+        # the process case fork (three one-cell chunks, two workers)
+        # even on a one-CPU host.
+        monkeypatch.setattr(PlatformRun, "finalize", failing)
+        monkeypatch.setattr(batched, "available_cpus", lambda: 2)
+        with pytest.raises(RuntimeError, match="injected failure in glist"):
+            run_grid(cells, jobs=jobs, cache=cache, executor=executor)
+        assert cache.stats().entries == 2
+
+        monkeypatch.setattr(PlatformRun, "finalize", finalize)
+        again = run_grid(cells, jobs=1, cache=cache, executor="serial")
+        assert again.executed == 1 and again.cache_hits == 2
+        assert again.from_cache == [True, True, False]
+
+    def test_stalled_pipeline_fails_loudly_after_storing_the_cell_before(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.platforms.pipeline import PipelineRunner
+
+        cache = ResultCache(tmp_path)
+        cells = tiny_cells(platforms=("bg2", "cc"))
+        start = PipelineRunner.run
+
+        def deadlocked(runner, batches):
+            if runner.prep.platform.name != "cc":
+                return start(runner, batches)
+
+            def wait_forever():
+                yield runner.sim.event()  # nobody ever triggers it
+
+            return runner.sim.process(wait_forever(), name="pipeline")
+
+        monkeypatch.setattr(PipelineRunner, "run", deadlocked)
+        with pytest.raises(RuntimeError, match="pipeline did not finish"):
+            run_grid(cells, jobs=1, cache=cache, executor="serial")
+        assert load_cached(cells, cache)[0] is not None
+        assert load_cached(cells, cache)[1] is None
 
 
 # Entries that parse as JSON but are not a document of this schema.
@@ -592,7 +693,7 @@ class TestWrongShapeEntries:
 
         assert load_cached(cells, cache)[1] is None
         with pytest.raises(KeyError, match=r"1 of 2 cells .*cc/ogbn"):
-            outcome_from_cache(cells, cache)
+            run_grid(cells, cache=cache, require_cached=True)
 
         again = run_grid(cells, jobs=1, cache=cache, executor="serial")
         assert again.executed == 1 and again.from_cache == [True, False]

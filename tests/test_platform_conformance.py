@@ -300,7 +300,9 @@ class TestFinishedCellIsFreedByRefcount:
             **PARAMS,
             **GARBAGE_VARIANTS[variant],
         )
-        payloads, left = cyclic_garbage(lambda: execute_batch([(cell, 0, None)]))
+        payloads, left = cyclic_garbage(
+            lambda: list(execute_batch([(cell, 0, None)]))
+        )
         assert payloads[0]["result"]["platform"] == name
         assert not left, dict(left)
 

@@ -20,7 +20,7 @@ import math
 
 import pytest
 
-from repro.orchestrate import CELL_DOC, ResultCache, execute_batch
+from repro.orchestrate import CELL_DOC, ResultCache
 from repro.orchestrate.cache import json_default
 from repro.platforms.query import measure_query_latency
 from repro.quantile import latency_summary, mean, percentile
@@ -632,112 +632,3 @@ class TestSweepAndKnee:
         )
         assert sweep.cells_executed == len(calls) > 0
         assert max(calls.values()) <= 2
-
-
-class _StalledRun:
-    """A kernel that makes no progress and never finishes."""
-
-    finished = False
-
-    def step(self, budget):
-        return 0
-
-    def finalize(self):  # pragma: no cover - never reached
-        raise AssertionError("stalled run must not finalize")
-
-
-class _CrawlingRun:
-    """Short slices for a few sweeps, then finishes (inside the budget)."""
-
-    def __init__(self, sweeps):
-        self.remaining = sweeps
-        self.finished = False
-
-    def step(self, budget):
-        self.remaining -= 1
-        if self.remaining <= 0:
-            self.finished = True
-        return 1
-
-    def finalize(self):
-        raise _Finalized()
-
-
-class _Finalized(Exception):
-    pass
-
-
-class TestStallGuard:
-    def test_stalled_run_raises_loudly(self, monkeypatch):
-        from repro.orchestrate import batched
-
-        monkeypatch.setattr(batched, "_start_run", lambda job: _StalledRun())
-        with pytest.raises(RuntimeError, match="stalled"):
-            execute_batch([("cell", 0, None)], max_idle_sweeps=3)
-
-    def test_error_names_progress(self, monkeypatch):
-        from repro.orchestrate import batched
-
-        monkeypatch.setattr(batched, "_start_run", lambda job: _StalledRun())
-        with pytest.raises(RuntimeError, match="0/1 cells completed"):
-            execute_batch([("cell", 0, None)], max_idle_sweeps=2)
-
-    def test_finishing_within_budget_does_not_trip(self, monkeypatch):
-        from repro.orchestrate import batched
-
-        # Short slices, but the run finishes before the idle budget is
-        # spent: the guard must stay quiet and hand the run to finalize
-        # (the sentinel exception proves we got there).
-        monkeypatch.setattr(
-            batched, "_start_run", lambda job: _CrawlingRun(sweeps=3)
-        )
-        with pytest.raises(_Finalized):
-            execute_batch([("cell", 0, None)], max_idle_sweeps=3)
-
-    def test_guard_resets_on_full_slice(self, monkeypatch):
-        from repro.orchestrate import batched
-
-        class Alternating:
-            """Short slice every other sweep — never `idle` twice in a row."""
-
-            def __init__(self):
-                self.calls = 0
-                self.finished = False
-
-            def step(self, budget):
-                self.calls += 1
-                if self.calls >= 7:
-                    self.finished = True
-                    return 0
-                return budget if self.calls % 2 else 0
-
-            def finalize(self):
-                raise _Finalized()
-
-        monkeypatch.setattr(batched, "_start_run", lambda job: Alternating())
-        with pytest.raises(_Finalized):
-            execute_batch([("cell", 0, None)], max_idle_sweeps=2)
-
-    def test_rejects_bad_max_idle_sweeps(self):
-        with pytest.raises(ValueError):
-            execute_batch([], max_idle_sweeps=0)
-
-    def test_real_simulation_never_trips_guard(self):
-        """A genuine tiny cell under tiny slices completes cleanly."""
-        from repro.orchestrate import GridCell
-
-        cell = GridCell(
-            platform="bg2",
-            workload="ogbn",
-            batch_size=4,
-            num_batches=1,
-            num_hops=2,
-            fanout=2,
-            hidden_dim=32,
-            seed=0,
-            scaled_nodes=256,
-        )
-        payloads = execute_batch(
-            [(cell, 0, None)], slice_events=64, max_idle_sweeps=2
-        )
-        assert len(payloads) == 1 and payloads[0]["result"]

@@ -1,9 +1,9 @@
 """The resumable kernel: ``step(max_events)`` and ``run(until)``.
 
-The batched grid executor interleaves many live kernels by slicing each
-one with ``step``. These tests pin the contract that makes that safe:
-any interleaving of slices delivers in exactly the order a single
-``run()`` call would, budgets are honoured, and the recycling pools and
+The grid executor drives each cell's kernel in ``step`` slices, and
+perfbench times those slices. These tests pin the contract that makes
+that safe: any interleaving of slices delivers in exactly the order a
+single ``run()`` call would, budgets are honoured, and the recycling pools and
 failure paths behave identically to the blocking form. ``run(until)``
 slices by simulated time instead of by entry count; it drives the same
 delivery loop, so it is held to the same contract.
