@@ -385,7 +385,7 @@ def sweep_cache(
         sweep=CACHE_ABLATION_DOC.store(
             cache,
             key,
-            CACHE_ABLATION_DOC.to_payload(sweep),
+            CACHE_ABLATION_DOC.to_stored(sweep),
             platform=features.name,
             workload=spec.name,
             seed=seed,

@@ -26,7 +26,7 @@ import socket
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Callable, Dict, Optional, Tuple
+from typing import BinaryIO, Callable, Dict, List, Optional, Tuple
 
 __all__ = [
     "json_default",
@@ -35,6 +35,7 @@ __all__ = [
     "CachedDocument",
     "default_cache_dir",
     "atomic_write",
+    "ORPHAN_AGE_S",
     "CacheStats",
     "dir_stats",
     "clear_dir",
@@ -156,11 +157,16 @@ class CachedDocument:
 
     A payload is ``{"schema", "kind", field: result.to_dict()}`` —
     ``tagged=False`` leaves out ``"kind"`` — built as plain JSON values
-    and encoded only where bytes are written. A fresh result is rebuilt
-    from its payload exactly as a cached one is, so the two are
-    interchangeable bit for bit. ``result_type.from_dict`` is looked up
-    per call, never captured, so wrappers installed on it later see
-    every decode.
+    and encoded only where bytes are written: the list form
+    (:meth:`to_payload`). A kind whose result type also has a column
+    form (``to_columns``/``from_columns``) names that form's schema in
+    ``column_schema``, and the cache holds that form only
+    (:meth:`to_stored`); the list form stays what digests hash and
+    other documents embed. A fresh result is rebuilt from its stored
+    payload exactly as a cached one is, so the two are interchangeable
+    bit for bit. ``result_type.from_dict`` and ``from_columns`` are
+    looked up per call, never captured, so wrappers installed on them
+    later see every decode.
     """
 
     kind: str
@@ -168,6 +174,7 @@ class CachedDocument:
     result_type: type
     field: str
     tagged: bool = True
+    column_schema: Optional[int] = None
 
     def key(self, identity: Dict) -> str:
         """Content-addressed key of one document: its identity and the code."""
@@ -180,41 +187,68 @@ class CachedDocument:
             }
         )
 
-    def to_payload(self, result) -> Dict:
-        payload: Dict = {"schema": self.schema}
+    def _envelope(self, schema: int, body: Dict) -> Dict:
+        payload: Dict = {"schema": schema}
         if self.tagged:
             payload["kind"] = self.kind
-        payload[self.field] = result.to_dict()
+        payload[self.field] = body
         return payload
 
-    def _usable(self, payload: Dict) -> bool:
-        return payload.get("schema") == self.schema and isinstance(
-            payload.get(self.field), dict
-        )
-
-    def from_payload(self, payload: Dict):
-        if not self._usable(payload):
+    def _body(self, payload: Dict, schema: int) -> Dict:
+        body = payload.get(self.field)
+        if payload.get("schema") != schema or not isinstance(body, dict):
             raise ValueError(
-                f"unsupported {self.kind} payload: want schema {self.schema} "
+                f"unsupported {self.kind} payload: want schema {schema} "
                 f"with a {self.field!r} object, got schema "
                 f"{payload.get('schema')!r}"
             )
-        return self.result_type.from_dict(payload[self.field])
+        return body
+
+    def to_payload(self, result) -> Dict:
+        """The list form, ``result.to_dict()`` in its envelope."""
+        return self._envelope(self.schema, result.to_dict())
+
+    def from_payload(self, payload: Dict):
+        """Inverse of :meth:`to_payload`."""
+        return self.result_type.from_dict(self._body(payload, self.schema))
+
+    def to_stored(self, result) -> Dict:
+        """The form the cache holds: columns when the kind has them."""
+        if self.column_schema is None:
+            return self.to_payload(result)
+        return self._envelope(self.column_schema, result.to_columns())
+
+    def from_stored(self, payload: Dict):
+        """Inverse of :meth:`to_stored`; raises if ``payload`` does not decode."""
+        if self.column_schema is None:
+            return self.from_payload(payload)
+        return self.result_type.from_columns(self._body(payload, self.column_schema))
 
     def load(self, cache, key: str):
         """The result cached under ``key``, or None when it is unusable.
 
-        No cache, a missing or unreadable entry (:meth:`ResultCache.get`),
-        and a payload of another schema or without its ``field`` object
-        are all misses: the caller rebuilds and rewrites the entry.
+        No cache, a missing or unreadable entry (:meth:`ResultCache.get`)
+        and a payload that does not decode — another schema, a missing
+        field, a damaged column — are all misses: the caller rebuilds
+        and rewrites the entry.
         """
         document = cache.get(key) if cache is not None else None
-        if document is None or not self._usable(document["payload"]):
+        if document is None:
             return None
-        return self.from_payload(document["payload"])
+        try:
+            return self.from_stored(document["payload"])
+        except Exception:
+            # Bytes from disk may be damaged in any way a decoder can
+            # trip on. A decoder bug still shows: store() decodes every
+            # fresh payload and raises.
+            return None
 
     def store(self, cache, key: str, payload: Dict, **meta):
-        """Write ``payload`` under ``key`` when there is a cache; decode it."""
+        """Decode a :meth:`to_stored` ``payload``; write it when there is a cache.
+
+        A payload that does not decode raises and is not written.
+        """
+        result = self.from_stored(payload)
         if cache is not None:
             cache.put(
                 key,
@@ -227,7 +261,7 @@ class CachedDocument:
                     },
                 },
             )
-        return self.from_payload(payload)
+        return result
 
 
 def default_cache_dir() -> Path:
@@ -241,11 +275,13 @@ def default_cache_dir() -> Path:
 def atomic_write(path: Path, write: Callable[[BinaryIO], object]) -> None:
     """Create ``path`` through a private tmp file and one rename.
 
-    The tmp name carries host, pid and a random token, so writers of one
-    key never share a tmp file, even on a shared filesystem whose
-    containers reuse pids. It is opened exclusively with the default
-    file mode (``tempfile.mkstemp``'s 0600 would hide shared entries
-    from other users), and removed if the write or the rename fails.
+    The tmp name (``<stem>.tmp.<host>.<pid>.<hex>``) carries host, pid
+    and a random token, so writers of one key never share a tmp file,
+    even on a shared filesystem whose containers reuse pids. It is
+    opened exclusively with the default file mode
+    (``tempfile.mkstemp``'s 0600 would hide shared entries from other
+    users), and removed if the write or the rename fails. Only a writer
+    killed outright leaves it behind: see :data:`ORPHAN_AGE_S`.
     """
     tmp = path.with_name(
         f"{path.stem}.tmp.{socket.gethostname()}.{os.getpid()}"
@@ -260,12 +296,46 @@ def atomic_write(path: Path, write: Callable[[BinaryIO], object]) -> None:
         raise
 
 
+#: A tmp file of :func:`atomic_write` this many seconds old is an
+#: orphan, left by a writer killed between open and rename: ``stats``
+#: counts it and ``prune`` and ``clear`` delete it. A younger one may
+#: belong to a writer still in flight, so it is left alone.
+ORPHAN_AGE_S = 3600.0
+
+_TMP_PATTERN = "*.tmp.*"
+
+
+def _orphans(root: Path, now: Optional[float] = None) -> List[Path]:
+    """The tmp files in ``root`` older than :data:`ORPHAN_AGE_S`."""
+    cutoff = (time.time() if now is None else now) - ORPHAN_AGE_S
+    orphans = []
+    for path in root.glob(_TMP_PATTERN):
+        try:
+            if path.stat().st_mtime < cutoff:
+                orphans.append(path)
+        except OSError:  # renamed or swept meanwhile
+            continue
+    return orphans
+
+
+def _sweep_orphans(root: Path, now: Optional[float] = None) -> int:
+    orphans = _orphans(root, now)
+    for path in orphans:
+        path.unlink(missing_ok=True)
+    return len(orphans)
+
+
 @dataclass(frozen=True)
 class CacheStats:
-    """Snapshot of what a cache directory holds."""
+    """Snapshot of what a cache directory holds.
+
+    ``entries`` and ``total_bytes`` count finished entries only;
+    ``orphans`` counts the tmp files of killed writers beside them.
+    """
 
     entries: int
     total_bytes: int
+    orphans: int = 0
 
     @property
     def total_mb(self) -> float:
@@ -273,17 +343,21 @@ class CacheStats:
 
 
 def dir_stats(root: Path, pattern: str) -> CacheStats:
-    """Entry count and byte total for ``pattern`` files directly in ``root``."""
+    """Entries matching ``pattern`` directly in ``root``, and orphans."""
     entries = list(root.glob(pattern))
     return CacheStats(
         entries=len(entries),
         total_bytes=sum(p.stat().st_size for p in entries),
+        orphans=len(_orphans(root)),
     )
 
 
 def clear_dir(root: Path, pattern: str) -> int:
-    """Delete every entry matching ``pattern``; returns how many were removed."""
-    removed = 0
+    """Delete every entry matching ``pattern`` and every orphan.
+
+    Returns how many files were removed.
+    """
+    removed = _sweep_orphans(root)
     for path in root.glob(pattern):
         path.unlink(missing_ok=True)
         removed += 1
@@ -297,7 +371,7 @@ def prune_dir(
     max_mb: Optional[float] = None,
     _now: Optional[float] = None,
 ) -> int:
-    """Evict stale cache entries; returns how many were removed.
+    """Evict stale cache entries and every orphan; returns files removed.
 
     Two independent policies, applied in order:
 
@@ -307,8 +381,9 @@ def prune_dir(
     * ``max_mb`` — after the age pass, evict oldest-first (LRU by mtime)
       until the directory fits in ``max_mb`` megabytes.
 
-    Entries that vanish mid-scan (a concurrent run pruning the same
-    directory) are skipped, not errors.
+    Orphans (:data:`ORPHAN_AGE_S`) go whatever the policy. Entries that
+    vanish mid-scan (a concurrent run pruning the same directory) are
+    skipped, not errors.
     """
     if keep_days is None and max_mb is None:
         raise ValueError("prune needs keep_days and/or max_mb")
@@ -317,6 +392,7 @@ def prune_dir(
     if max_mb is not None and max_mb < 0:
         raise ValueError("max_mb must be >= 0")
     now = time.time() if _now is None else _now
+    removed = _sweep_orphans(root, now)
     entries = []  # (mtime, size, path), oldest first
     for path in root.glob(pattern):
         try:
@@ -325,7 +401,6 @@ def prune_dir(
             continue
         entries.append((st.st_mtime, st.st_size, path))
     entries.sort()
-    removed = 0
     if keep_days is not None:
         cutoff = now - keep_days * 86400.0
         keep = []

@@ -826,8 +826,12 @@ def cmd_cache(args) -> int:
         print(f"cache dir: {cache.root}")
         print(f"entries:   {stats.entries}")
         print(f"size:      {stats.total_mb:.2f} MB")
+        print(f"orphans:   {stats.orphans}")
         print(f"image dir: {images.root}")
-        print(f"images:    {istats.entries} ({istats.total_mb:.2f} MB)")
+        print(
+            f"images:    {istats.entries} ({istats.total_mb:.2f} MB, "
+            f"{istats.orphans} orphans)"
+        )
     return 0
 
 

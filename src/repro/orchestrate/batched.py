@@ -11,8 +11,11 @@ Delivery-order guarantee: each kernel is driven only through ``step``,
 which delivers in exactly the order one ``run()`` call would (see
 :mod:`repro.sim.kernel`), and the simulations share no state, so the
 payloads produced here — :data:`~repro.orchestrate.grid.CELL_DOC`
-envelopes of plain JSON values — are bit-identical to one-shot
-:func:`~repro.platforms.runner.run_platform` calls.
+envelopes in the stored column form (:meth:`CachedDocument.to_stored
+<repro.cacheutil.CachedDocument.to_stored>`), plain JSON values whose
+record arrays are hex text — hold bit for bit the results of one-shot
+:func:`~repro.platforms.runner.run_platform` calls. A cell that fails
+ends the batch with one ``RuntimeError`` that names it.
 
 :func:`run_grid` ships batches of cells to pool workers through
 :func:`_execute_chunk`; :func:`auto_chunk_size` and
@@ -32,7 +35,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..platforms.runner import PlatformRun
 from .envcfg import env_float
-from .grid import CELL_DOC, _prepared_for
+from .grid import CELL_DOC, _prepared_for, cell_cache_key
 
 __all__ = ["execute_batch", "available_cpus", "auto_chunk_size"]
 
@@ -121,6 +124,21 @@ def _start_run(job: Tuple) -> PlatformRun:
     )
 
 
+def _cell_failed(job: Tuple, exc: Exception) -> RuntimeError:
+    """The error that names the cell of ``job``, then the original one.
+
+    It travels as its message alone, so it names the cell on the far
+    side of a pool's pickle too.
+    """
+    cell, seed, _root = job
+    return RuntimeError(
+        f"grid cell {cell.resolved_platform().name}/"
+        f"{cell.resolved_workload().name} seed {seed} "
+        f"(key {cell_cache_key(cell, seed)}) failed: "
+        f"{type(exc).__name__}: {exc}"
+    )
+
+
 def execute_batch(
     jobs: Sequence[Tuple],
     *,
@@ -132,9 +150,13 @@ def execute_batch(
     executor backend consumes. A cell is stepped until a slice comes
     back short (its kernel drained), then finalized — which raises
     ``RuntimeError`` if its pipeline stalled — and dropped before its
-    payload is yielded and the next cell starts. ``heartbeat`` (if set)
-    is called after every slice with ``{"completed", "total",
-    "events"}``; the beat for a cell's last slice follows its finalize.
+    payload (``CELL_DOC.to_stored``, the column form) is yielded and the
+    next cell starts. Any failure of a cell is raised as one
+    ``RuntimeError``, chained to the original, whose message names the
+    cell's platform, workload, seed and cache key before the original
+    type and message. ``heartbeat`` (if set) is called after every slice
+    with ``{"completed", "total", "events"}``; the beat for a cell's
+    last slice follows its finalize.
     """
     total = len(jobs)
     events = 0
@@ -144,14 +166,17 @@ def execute_batch(
             heartbeat({"completed": completed, "total": total, "events": events})
 
     for completed, job in enumerate(jobs):
-        run = _start_run(job)
-        while True:
-            n = run.step(_SLICE_EVENTS)
-            events += n
-            if n < _SLICE_EVENTS:
-                break
-            beat(completed)
-        payload = CELL_DOC.to_payload(run.finalize())
+        try:
+            run = _start_run(job)
+            while True:
+                n = run.step(_SLICE_EVENTS)
+                events += n
+                if n < _SLICE_EVENTS:
+                    break
+                beat(completed)
+            payload = CELL_DOC.to_stored(run.finalize())
+        except Exception as exc:
+            raise _cell_failed(job, exc) from exc
         # Free this cell's device before the caller resumes us and the
         # next cell allocates its own.
         del run

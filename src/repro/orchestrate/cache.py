@@ -11,9 +11,13 @@ grids skip cells that have already been simulated — regardless of which
 entry point ran them first.
 
 Entries are JSON documents written atomically (tmp file + rename), so a
-killed run never leaves a truncated entry behind; unreadable entries —
-bytes that do not parse, or JSON that is not an object with an object
-``payload`` — are treated as misses.
+killed run never leaves a truncated entry behind, only its tmp file: an
+orphan that :meth:`ResultCache.stats` counts once it is
+:data:`~repro.cacheutil.ORPHAN_AGE_S` old and ``prune`` and ``clear``
+delete. Unreadable entries — bytes that do not parse, or JSON that is
+not an object with an object ``payload`` — are treated as misses, and
+:meth:`CachedDocument.load <repro.cacheutil.CachedDocument.load>` treats
+a payload that does not decode as one too.
 
 The hashing and eviction primitives live in :mod:`repro.cacheutil`
 (shared with the DirectGraph image cache) and are re-exported here for

@@ -15,10 +15,10 @@ hand payload dicts back as an iterable in job order, each as soon as it
 is ready, so ``run_grid`` stores a finished cell before a later one can
 fail. Determinism is the protocol's core contract: per-cell seeds are
 fixed *before* dispatch, a cell's simulation depends only on (cell,
-seed), and payloads are plain JSON values by construction
-(:data:`repro.orchestrate.grid.CELL_DOC`), so pickling them back from a
-pool worker changes nothing — ``process`` is bit-identical to
-``serial``.
+seed), and payloads are plain JSON values by construction — the stored
+column form of :data:`repro.orchestrate.grid.CELL_DOC`, whose record
+arrays are a few hex strings — so pickling them back from a pool worker
+changes nothing: ``process`` is bit-identical to ``serial``.
 
 The registry is string-keyed so sweeps and the CLI can select a backend
 by name (``executor="serial"`` / ``--executor serial``).

@@ -11,7 +11,7 @@ worker count or execution order. Per-cell seeds are derived with the
 same ``repro.rng`` counter stream used by the samplers — keyed by the
 cell's content hash — so ``--jobs 8`` is bit-identical to ``--jobs 1``,
 and a cached result is bit-identical to a fresh one: both are rebuilt by
-:data:`CELL_DOC` from a payload of plain JSON values, a fresh one as the
+:data:`CELL_DOC` from the same stored payload, a fresh one as the
 simulation built it (:meth:`CachedDocument.store`) and a cached one as
 decoded from disk (:meth:`CachedDocument.load`).
 """
@@ -52,8 +52,11 @@ __all__ = [
 ]
 
 #: One simulated grid cell. Untagged: the golden RunResult digests hash
-#: this envelope, which has never carried a ``"kind"`` field.
-CELL_DOC = CachedDocument("cell", 1, RunResult, "result", tagged=False)
+#: its list form (:meth:`CachedDocument.to_payload`, schema 1), which has
+#: never carried a ``"kind"`` field. The cache stores the column form
+#: (:meth:`RunResult.to_columns`, schema 2): its record arrays as hex
+#: text of their little-endian bytes.
+CELL_DOC = CachedDocument("cell", 1, RunResult, "result", tagged=False, column_schema=2)
 
 
 @dataclass(frozen=True)
@@ -283,11 +286,14 @@ def run_grid(
     """Run every cell, in parallel, skipping cells already in ``cache``.
 
     Returns results in cell order. All results — fresh, parallel, or
-    cached — are rebuilt by :data:`CELL_DOC` from a payload of plain JSON
-    values (a fresh one as built, a cached one as decoded from disk), so
-    they are interchangeable bit for bit. A fresh payload is stored
-    (encoded once, by :meth:`ResultCache.put`) as the backend hands it
-    over, so a failing cell leaves every cell before it cached.
+    cached — are rebuilt by :data:`CELL_DOC` from a payload in its
+    stored column form (a fresh one as built, a cached one as decoded
+    from disk), so they are interchangeable bit for bit. A fresh payload
+    is stored (encoded once, by :meth:`ResultCache.put`) as the backend
+    hands it over, so a failing cell leaves every cell before it cached;
+    the failure comes out as one ``RuntimeError`` naming that cell's
+    platform, workload, seed and key. An entry that does not decode is
+    a miss.
 
     ``require_cached=True`` (the warm-cache render path) needs a
     ``cache``, and any miss raises ``KeyError`` naming the missing cells

@@ -13,6 +13,8 @@ from ..sim.stats import (
     PackedTrackers,
     StageAggregator,
     active_count_series,
+    hex_rows,
+    rows_from_hex,
 )
 
 __all__ = ["BatchTiming", "RunResult", "pack_trace"]
@@ -78,6 +80,12 @@ class RunResult:
     packed on construction) and ``stage_agg`` is packed column by
     column. So :meth:`to_dict` has one path, and a result is a few
     arrays rather than one object per die, channel and command.
+
+    It has two serial forms. :meth:`to_dict` renders every record as
+    lists and dicts of numbers: the form the golden digests hash and
+    scale-out documents embed. :meth:`to_columns` writes those arrays
+    as hex text of their little-endian bytes: the form the result cache
+    stores. Both decode to equal results.
     """
 
     platform: str
@@ -208,7 +216,7 @@ class RunResult:
             "hop_overlap": self.hop_timeline.overlap_fraction(),
         }
 
-    # -- lossless serialization (worker transport + result cache) --------------
+    # -- lossless serialization (result cache, pool transport, goldens) ---------
 
     def to_dict(self) -> Dict:
         """Full-fidelity form of plain JSON values; inverse of :meth:`from_dict`.
@@ -216,10 +224,39 @@ class RunResult:
         Unlike :func:`repro.bench.export.result_to_dict` (a flattened,
         plot-ready view), this round-trips every instrument so a restored
         result answers every derived query identically. Nothing
-        normalizes this dict before it is cached or decoded, so every
+        normalizes this dict before it is hashed or embedded, so every
         nested ``to_dict`` must return plain JSON values, exactly what
         ``json.loads`` would give back.
         """
+        trace = self.sample_trace
+        return self._encode(
+            self.stage_agg.to_dict(),
+            self.die_trackers.to_dicts(),
+            self.channel_trackers.to_dicts(),
+            # .tolist() of an int32 array yields plain ints, so packed
+            # traces serialize byte-identically to the old nested lists
+            None
+            if trace is None
+            else [b.tolist() if isinstance(b, np.ndarray) else b for b in trace],
+        )
+
+    def to_columns(self) -> Dict:
+        """:meth:`to_dict` with its record arrays as little-endian hex text.
+
+        The stage records, both tracker rows and each sample-trace batch
+        are written straight from their packed arrays
+        (:func:`~repro.sim.stats.hex_rows`); every other value is as in
+        :meth:`to_dict`. Inverse of :meth:`from_columns`.
+        """
+        trace = self.sample_trace
+        return self._encode(
+            self.stage_agg.to_columns(),
+            self.die_trackers.to_columns(),
+            self.channel_trackers.to_columns(),
+            None if trace is None else [hex_rows(b, "<i4") for b in trace],
+        )
+
+    def _encode(self, stage_agg, die_trackers, channel_trackers, sample_trace) -> Dict:
         data = {
             "platform": self.platform,
             "workload": self.workload,
@@ -227,11 +264,11 @@ class RunResult:
             "num_batches": self.num_batches,
             "total_seconds": self.total_seconds,
             "batches": [b.to_dict() for b in self.batches],
-            "stage_agg": self.stage_agg.to_dict(),
+            "stage_agg": stage_agg,
             "hop_timeline": self.hop_timeline.to_dict(),
             "meters": self.meters.as_dict(),
-            "die_trackers": self.die_trackers.to_dicts(),
-            "channel_trackers": self.channel_trackers.to_dicts(),
+            "die_trackers": die_trackers,
+            "channel_trackers": channel_trackers,
             "firmware_busy_seconds": self.firmware_busy_seconds,
             "energy_breakdown": dict(self.energy_breakdown),
             "background_io": (
@@ -240,15 +277,10 @@ class RunResult:
                 else None
             ),
         }
-        if self.sample_trace is not None:
+        if sample_trace is not None:
             # key present only when traced: untraced payloads stay
-            # byte-identical to the pre-trace schema (golden digests);
-            # .tolist() of an int32 array yields plain ints, so packed
-            # traces serialize byte-identically to the old nested lists
-            data["sample_trace"] = [
-                batch.tolist() if isinstance(batch, np.ndarray) else batch
-                for batch in self.sample_trace
-            ]
+            # byte-identical to the pre-trace schema (golden digests)
+            data["sample_trace"] = sample_trace
         if self.cache is not None:
             # same conditional-key contract as sample_trace/background_io
             data["cache"] = self.cache
@@ -258,6 +290,31 @@ class RunResult:
 
     @classmethod
     def from_dict(cls, data: Dict) -> "RunResult":
+        trace = data.get("sample_trace")
+        return cls._decode(
+            data,
+            StageAggregator.from_dict(data["stage_agg"]),
+            PackedTrackers.from_dicts(data["die_trackers"]),
+            PackedTrackers.from_dicts(data["channel_trackers"]),
+            None if trace is None else [pack_trace(batch) for batch in trace],
+        )
+
+    @classmethod
+    def from_columns(cls, data: Dict) -> "RunResult":
+        """Inverse of :meth:`to_columns`; ``ValueError`` on a damaged column."""
+        trace = data.get("sample_trace")
+        return cls._decode(
+            data,
+            StageAggregator.from_columns(data["stage_agg"]),
+            PackedTrackers.from_columns(data["die_trackers"]),
+            PackedTrackers.from_columns(data["channel_trackers"]),
+            None if trace is None else [rows_from_hex(b, "<i4", 4) for b in trace],
+        )
+
+    @classmethod
+    def _decode(
+        cls, data: Dict, stage_agg, die_trackers, channel_trackers, sample_trace
+    ) -> "RunResult":
         background_io = None
         if data.get("background_io") is not None:
             from .background import BackgroundIoStats
@@ -270,19 +327,15 @@ class RunResult:
             num_batches=int(data["num_batches"]),
             total_seconds=float(data["total_seconds"]),
             batches=[BatchTiming.from_dict(b) for b in data["batches"]],
-            stage_agg=StageAggregator.from_dict(data["stage_agg"]),
+            stage_agg=stage_agg,
             hop_timeline=HopTimeline.from_dict(data["hop_timeline"]),
             meters=Meter.from_dict(data["meters"]),
-            die_trackers=PackedTrackers.from_dicts(data["die_trackers"]),
-            channel_trackers=PackedTrackers.from_dicts(data["channel_trackers"]),
+            die_trackers=die_trackers,
+            channel_trackers=channel_trackers,
             firmware_busy_seconds=float(data["firmware_busy_seconds"]),
             energy_breakdown=dict(data["energy_breakdown"]),
             background_io=background_io,
-            sample_trace=(
-                [pack_trace(batch) for batch in data["sample_trace"]]
-                if data.get("sample_trace") is not None
-                else None
-            ),
+            sample_trace=sample_trace,
             cache=data.get("cache"),
             served_targets=(
                 int(data["served_targets"])

@@ -565,7 +565,7 @@ def scaleout_outcome(
         result=SCALEOUT_DOC.store(
             cache,
             key,
-            SCALEOUT_DOC.to_payload(result),
+            SCALEOUT_DOC.to_stored(result),
             platform=features.name,
             workload=spec.name,
             num_devices=num_devices,

@@ -574,7 +574,7 @@ def serve(
         result=SERVING_DOC.store(
             cache,
             key,
-            SERVING_DOC.to_payload(result),
+            SERVING_DOC.to_stored(result),
             platform=features.name,
             workload=spec.name,
             offered_qps=result.offered_qps,

@@ -18,6 +18,8 @@ import numpy as np
 __all__ = [
     "BusyTracker",
     "PackedTrackers",
+    "hex_rows",
+    "rows_from_hex",
     "active_count_series",
     "StageRecord",
     "StageAggregator",
@@ -80,6 +82,33 @@ def _rows_array(rows: List, dtype, width: int) -> np.ndarray:
     return flat.reshape(-1, width)
 
 
+def hex_rows(array, dtype: str) -> str:
+    """``array`` as hex text of its bytes in ``dtype``, an explicitly
+    little-endian type (``"<f8"``, ``"<i8"``, ``"<i4"``).
+
+    Raw bytes keep every value exactly, -0.0, NaN and infinities too;
+    the text is two characters per byte, whatever the values.
+    """
+    return np.ascontiguousarray(array, dtype=dtype).tobytes().hex()
+
+
+def rows_from_hex(text: str, dtype: str, width: int) -> np.ndarray:
+    """Inverse of :func:`hex_rows`: a ``(rows, width)`` native-order array.
+
+    Text that is not whole rows of ``dtype`` — odd length, a character
+    that is not a hex digit, a byte count that is not a multiple of the
+    row width — raises ``ValueError``.
+    """
+    raw = bytes.fromhex(text)
+    dtype = np.dtype(dtype)
+    if len(raw) % (dtype.itemsize * width):
+        raise ValueError(
+            f"{len(raw)} bytes are not whole rows of {width} {dtype.str} values"
+        )
+    flat = np.frombuffer(raw, dtype).astype(dtype.newbyteorder("="), copy=False)
+    return flat.reshape(-1, width)
+
+
 def _tracker_view(name: str, rows: List[List[float]]) -> BusyTracker:
     tracker = BusyTracker(name)
     tracker.intervals = [(s, e) for s, e in rows]
@@ -96,7 +125,8 @@ class PackedTrackers(Sequence[BusyTracker]):
     slices (which return lists), truthiness and iteration work — and
     every tracker it yields is a fresh view. :meth:`busy_times` reads the
     rows in the order the trackers would, so it adds up bit for bit as
-    on the trackers.
+    on the trackers. It has two serial forms: a list of interval dicts
+    (:meth:`to_dicts`) and columns (:meth:`to_columns`).
     """
 
     __slots__ = ("names", "offsets", "spans")
@@ -138,6 +168,33 @@ class PackedTrackers(Sequence[BusyTracker]):
             {"name": name, "intervals": rows}
             for name, rows in zip(self.names, self._split())
         ]
+
+    def to_columns(self) -> Dict:
+        """The names, the offsets and ``spans`` as little-endian float64 hex."""
+        return {
+            "names": list(self.names),
+            "offsets": list(self.offsets),
+            "spans": hex_rows(self.spans, "<f8"),
+        }
+
+    @classmethod
+    def from_columns(cls, data: Dict) -> "PackedTrackers":
+        """Inverse of :meth:`to_columns`; ``ValueError`` if damaged."""
+        names, offsets = data["names"], data["offsets"]
+        spans = rows_from_hex(data["spans"], "<f8", 2)
+        if not (
+            isinstance(names, list)
+            and isinstance(offsets, list)
+            and len(offsets) == len(names) + 1
+            and all(type(o) is int for o in offsets)
+            and offsets[0] == 0
+            and offsets[-1] == len(spans)
+            and all(lo <= hi for lo, hi in zip(offsets, offsets[1:]))
+        ):
+            raise ValueError(
+                f"tracker offsets do not split {len(spans)} spans among the names"
+            )
+        return cls(names, offsets, spans)
 
     def busy_times(self, t0: float = 0.0, t1: Optional[float] = None) -> List[float]:
         """Each tracker's :meth:`BusyTracker.busy_time`, in order."""
@@ -268,7 +325,9 @@ class StageAggregator:
     read-only, so a finished result keeps no per-command objects.
     :attr:`records` yields :class:`StageRecord` objects on both forms
     (built on access once packed), and the means add record by record
-    in the same order on both, so they agree bit for bit.
+    in the same order on both, so they agree bit for bit. A packed
+    aggregator has two serial forms: one dict per record
+    (:meth:`to_dict`) and its two columns (:meth:`to_columns`).
     """
 
     __slots__ = ("_live", "_ids", "_times")
@@ -349,6 +408,25 @@ class StageAggregator:
         records = data["records"]
         agg = cls()
         agg._set_columns(list(map(_dict_ids, records)), list(map(_dict_times, records)))
+        return agg
+
+    def to_columns(self) -> Dict:
+        """Ids and timestamps as little-endian int64 and float64 hex; packs."""
+        self.pack()
+        return {
+            "ids": hex_rows(self._ids, "<i8"),
+            "times": hex_rows(self._times, "<f8"),
+        }
+
+    @classmethod
+    def from_columns(cls, data: Dict) -> "StageAggregator":
+        """Inverse of :meth:`to_columns`; ``ValueError`` if damaged."""
+        ids = rows_from_hex(data["ids"], "<i8", len(_ID_FIELDS))
+        times = rows_from_hex(data["times"], "<f8", len(_TIME_FIELDS))
+        if len(ids) != len(times):
+            raise ValueError(f"{len(ids)} record ids for {len(times)} timestamp rows")
+        agg = cls()
+        agg._ids, agg._times, agg._live = ids, times, None
         return agg
 
 

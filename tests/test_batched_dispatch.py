@@ -10,6 +10,11 @@ process pool at every ``jobs`` equals ``serial``, ``execute_batch``
 itself reproduces the golden fixtures in ``tests/data/``, and it
 streams: one cell alive at a time, each payload handed over as soon as
 its cell is finalized.
+
+``execute_batch`` yields the stored column form; :func:`_listed` turns
+each payload back into the list form (``CELL_DOC.to_payload``) that the
+goldens and the one-shot references hash, column by column and without
+decoding anything else.
 """
 
 import hashlib
@@ -33,6 +38,7 @@ from repro.orchestrate import (
 from repro.orchestrate.batched import _start_run
 from repro.orchestrate.cache import json_default
 from repro.platforms import PlatformRun, platform_names, run_platform
+from repro.sim.stats import PackedTrackers, StageAggregator, rows_from_hex
 
 GOLDEN = Path(__file__).parent / "data" / "golden_runresult_sha256.json"
 
@@ -51,6 +57,32 @@ def _digest(payload) -> str:
         payload, sort_keys=True, separators=(",", ":"), default=json_default
     ).encode()
     return hashlib.sha256(blob).hexdigest()
+
+
+def _listed(payload):
+    """The list form of an ``execute_batch`` payload.
+
+    Only the columns change: each is rendered as ``to_dict`` renders
+    it, and every other value stays as yielded, so integer meters keep
+    their type, exactly as in a fresh result's ``CELL_DOC.to_payload``.
+    """
+    assert payload["schema"] == CELL_DOC.column_schema
+    columns = payload["result"]
+    result = dict(columns)
+    result["stage_agg"] = StageAggregator.from_columns(columns["stage_agg"]).to_dict()
+    for name in ("die_trackers", "channel_trackers"):
+        result[name] = PackedTrackers.from_columns(columns[name]).to_dicts()
+    if "sample_trace" in columns:
+        result["sample_trace"] = [
+            rows_from_hex(batch, "<i4", 4).tolist()
+            for batch in columns["sample_trace"]
+        ]
+    return {"schema": CELL_DOC.schema, "result": result}
+
+
+def _batch_digest(payload) -> str:
+    """Digest of the list form of one ``execute_batch`` payload."""
+    return _digest(_listed(payload))
 
 
 def _one_shot(job):
@@ -83,7 +115,7 @@ class TestExecuteBatch:
         cells = tiny_cells(4)
         jobs_args = [(cell, cell.seed, None) for cell in cells]
         per_cell = [_digest(_one_shot(job)) for job in jobs_args]
-        got = [_digest(p) for p in execute_batch(jobs_args)]
+        got = [_batch_digest(p) for p in execute_batch(jobs_args)]
         assert got == per_cell
 
     @pytest.mark.parametrize("name", platform_names())
@@ -92,7 +124,7 @@ class TestExecuteBatch:
         cell = GridCell(platform=name, workload="ogbn", seed=0, **TINY)
         jobs_args = [(cell, seed, None) for seed in (3, 4)]
         expected = [_digest(_one_shot(job)) for job in jobs_args]
-        got = [_digest(p) for p in execute_batch(jobs_args)]
+        got = [_batch_digest(p) for p in execute_batch(jobs_args)]
         assert got == expected
 
     def test_small_slices_do_not_change_results(self):
@@ -126,7 +158,7 @@ class TestExecuteBatch:
             for name in sorted(golden)
         ]
         jobs_args = [(cell, 0, None) for cell in cells]
-        digests = [_digest(p) for p in execute_batch(jobs_args)]
+        digests = [_batch_digest(p) for p in execute_batch(jobs_args)]
         assert digests == [golden[name] for name in sorted(golden)]
 
     def test_heartbeat_reports_progress(self):
@@ -172,7 +204,7 @@ class TestStreaming:
         payloads = execute_batch(jobs_args)
         assert started == []
         for n, job in enumerate(jobs_args, start=1):
-            assert _digest(next(payloads)) == _digest(_one_shot(job))
+            assert _batch_digest(next(payloads)) == _digest(_one_shot(job))
             assert len(started) == n
         assert next(payloads, None) is None
 
@@ -192,7 +224,8 @@ class TestStreaming:
         monkeypatch.setattr(batched, "_SLICE_EVENTS", 97)
         jobs_args = [(cell, cell.seed, None) for cell in tiny_cells(3)]
         beats = []
-        got = [_digest(p) for p in execute_batch(jobs_args, heartbeat=beats.append)]
+        payloads = execute_batch(jobs_args, heartbeat=beats.append)
+        got = [_batch_digest(p) for p in payloads]
         assert got == [_digest(_one_shot(job)) for job in jobs_args]
         assert len(beats) > len(jobs_args), "no cell ran past one slice"
 
@@ -233,7 +266,7 @@ class TestStreaming:
         monkeypatch.setattr(PlatformRun, "finalize", failing)
         jobs_args = [(cell, cell.seed, None) for cell in tiny_cells(3)]
         payloads = execute_batch(jobs_args)
-        assert _digest(next(payloads)) == _digest(_one_shot(jobs_args[0]))
+        assert _batch_digest(next(payloads)) == _digest(_one_shot(jobs_args[0]))
         with pytest.raises(RuntimeError, match="injected failure in bg2"):
             next(payloads)
         assert len(started) == 2  # the third cell never started

@@ -254,7 +254,8 @@ class TestOrchestrationCommands:
         main(["run", "bg2", "ogbn", *self.BASE, "--cache-dir", str(tmp_path)])
         capsys.readouterr()
         assert main(["cache", "stats", "--cache-dir", str(tmp_path)]) == 0
-        assert "entries:   1" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "entries:   1" in out and "orphans:   0" in out
         assert main(["cache", "clear", "--cache-dir", str(tmp_path)]) == 0
         assert "removed 1" in capsys.readouterr().out
 

@@ -5,8 +5,10 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -366,6 +368,62 @@ class TestResultCache:
         assert "a" in cache
 
 
+def killed_writer_orphan(path: Path) -> Path:
+    """The tmp file a writer of ``path`` leaves when killed mid-write."""
+    from repro.cacheutil import atomic_write
+
+    def write_then_die(handle):
+        handle.write(b"half an entry")
+        handle.flush()
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    pid = os.fork()
+    if pid == 0:  # the writer
+        try:
+            atomic_write(path, write_then_die)
+        finally:
+            os._exit(1)  # never reached: SIGKILL runs no cleanup
+    _pid, status = os.waitpid(pid, 0)
+    assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
+    assert not path.exists()
+    (orphan,) = path.parent.glob(f"{path.stem}.tmp.*")
+    return orphan
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+class TestOrphanedTmpFiles:
+    """A writer killed inside ``atomic_write`` leaves its tmp file; once
+    older than ``ORPHAN_AGE_S`` it is counted apart from the entries and
+    swept by ``prune`` and ``clear``, while a fresh one is left alone."""
+
+    @pytest.mark.parametrize("kind", ["results", "images"])
+    def test_old_orphans_are_counted_and_swept(self, tmp_path, kind):
+        from repro.cacheutil import ORPHAN_AGE_S
+        from repro.directgraph import ImageCache
+
+        cache = ResultCache(tmp_path) if kind == "results" else ImageCache(tmp_path)
+        suffix = cache.path_for("k").suffix
+        stale = time.time() - ORPHAN_AGE_S - 60
+
+        def orphan(stem, aged):
+            path = killed_writer_orphan(tmp_path / f"{stem}{suffix}")
+            if aged:
+                os.utime(path, times=(stale, stale))
+            return path
+
+        fresh = orphan("fresh", aged=False)
+        old = orphan("old", aged=True)
+        stats = cache.stats()
+        assert (stats.entries, stats.total_bytes, stats.orphans) == (0, 0, 1)
+        assert cache.prune(keep_days=0) == 1
+        assert fresh.exists() and not old.exists()
+
+        old = orphan("old", aged=True)
+        assert cache.clear() == 1
+        assert fresh.exists() and not old.exists()
+        assert cache.stats().orphans == 0
+
+
 class TestRunGrid:
     def test_serial_and_parallel_bit_identical(self):
         """The determinism contract: --jobs N never changes any result."""
@@ -547,9 +605,19 @@ class TestRequireCached:
         assert message.endswith("... — run the sweep without --from-cache first")
 
 
+def failed_cell_prefix(cell: GridCell, base_seed: int = 0) -> str:
+    """How a failure of ``cell`` in a grid of ``base_seed`` begins."""
+    seed = derive_cell_seed(base_seed, cell)
+    return (
+        f"grid cell {cell.platform}/{cell.workload} seed {seed} "
+        f"(key {cell_cache_key(cell, seed)}) failed: "
+    )
+
+
 class TestStoreAsYouGo:
     """A failing cell costs only itself: every cell that finished before
-    it is already in the cache, so a rerun simulates only what is left."""
+    it is already in the cache, so a rerun simulates only what is left.
+    The error names the cell, then gives the original type and message."""
 
     @pytest.mark.parametrize(
         "executor,jobs", [("serial", 1), ("process", 2)], ids=["serial", "process"]
@@ -571,8 +639,14 @@ class TestStoreAsYouGo:
         # even on a one-CPU host.
         monkeypatch.setattr(PlatformRun, "finalize", failing)
         monkeypatch.setattr(batched, "available_cpus", lambda: 2)
-        with pytest.raises(RuntimeError, match="injected failure in glist"):
+        with pytest.raises(RuntimeError, match="injected failure in glist") as error:
             run_grid(cells, jobs=jobs, cache=cache, executor=executor)
+        assert type(error.value) is RuntimeError
+        assert str(error.value) == failed_cell_prefix(cells[2]) + (
+            "RuntimeError: injected failure in glist"
+        )
+        if executor == "serial":  # a pool worker's cause is its traceback
+            assert str(error.value.__cause__) == "injected failure in glist"
         assert cache.stats().entries == 2
 
         monkeypatch.setattr(PlatformRun, "finalize", finalize)
@@ -599,8 +673,12 @@ class TestStoreAsYouGo:
             return runner.sim.process(wait_forever(), name="pipeline")
 
         monkeypatch.setattr(PipelineRunner, "run", deadlocked)
-        with pytest.raises(RuntimeError, match="pipeline did not finish"):
+        with pytest.raises(RuntimeError, match="pipeline did not finish") as error:
             run_grid(cells, jobs=1, cache=cache, executor="serial")
+        assert str(error.value) == failed_cell_prefix(cells[1]) + (
+            "RuntimeError: pipeline did not finish (simulation stalled)"
+        )
+        assert isinstance(error.value.__cause__, RuntimeError)
         assert load_cached(cells, cache)[0] is not None
         assert load_cached(cells, cache)[1] is None
 
@@ -613,8 +691,61 @@ WRONG_SHAPES = [
     '{"payload": null}',
     '{"payload": {}}',
     '{"payload": {"schema": 0}}',
-    json.dumps({"payload": {"schema": CELL_DOC.schema}}),  # no result
+    json.dumps({"payload": {"schema": CELL_DOC.schema}}),  # list schema, no body
+    json.dumps({"payload": {"schema": CELL_DOC.column_schema}}),  # no result
 ]
+
+
+def _edited(change):
+    """Damage that rewrites an entry with ``change`` applied to its payload."""
+
+    def damage(path):
+        entry = json.loads(path.read_text())
+        change(entry["payload"])
+        path.write_text(json.dumps(entry))
+
+    return damage
+
+
+def _cut(field, column, digits):
+    """Cut the last ``digits`` hex digits off one column of a stored cell."""
+
+    def change(payload):
+        block = payload["result"][field]
+        assert len(block[column]) > digits, "nothing to damage"
+        block[column] = block[column][:-digits]
+
+    return _edited(change)
+
+
+def _as_list_form(payload):
+    """The same cell in the list form, which the cache never reads."""
+    listed = CELL_DOC.to_payload(CELL_DOC.from_stored(payload))
+    payload.clear()
+    payload.update(listed)
+
+
+# Damage to a stored ``bg2`` cell that keeps it valid JSON. The columns
+# are 40-byte timestamp rows and 16-byte span rows.
+DAMAGED_CELLS = {
+    "list-form": _edited(_as_list_form),
+    "missing-field": _edited(lambda payload: payload["result"].pop("stage_agg")),
+    "odd-length-hex": _cut("stage_agg", "times", 1),
+    "partial-value": _cut("stage_agg", "times", 2),
+    "partial-row": _cut("stage_agg", "times", 16),
+    "offsets-vs-names": _edited(
+        lambda payload: payload["result"]["die_trackers"]["names"].pop()
+    ),
+    "offsets-vs-spans": _cut("die_trackers", "spans", 32),
+}
+
+# A required field of each document kind, taken out of its stored entry
+# (each kind keeps its result under its own name).
+REQUIRED_FIELDS = {
+    "scaleout": "per_device",
+    "serving": "platform",
+    "cache_ablation": "points",
+}
 
 
 def _scaleout_document(cache):
@@ -682,34 +813,45 @@ class TestWrongShapeEntries:
         cache.path_for("abc").write_text(content)
         assert cache.get("abc") is None
 
-    @pytest.mark.parametrize("content", WRONG_SHAPES)
-    def test_cell_entry_is_a_miss(self, tmp_path, content):
+    @staticmethod
+    def assert_cell_miss(tmp_path, index, damage):
+        """Cell ``index`` of a two-cell grid, damaged, is a miss and comes back."""
         cache = ResultCache(tmp_path)
         cells = tiny_cells(platforms=("bg2", "cc"))
         cold = run_grid(cells, jobs=1, cache=cache, executor="serial")
-        path = cache.path_for(cold.keys[1])
+        path = cache.path_for(cold.keys[index])
         entry = path.read_bytes()
-        path.write_text(content)
+        damage(path)
 
-        assert load_cached(cells, cache)[1] is None
-        with pytest.raises(KeyError, match=r"1 of 2 cells .*cc/ogbn"):
+        assert load_cached(cells, cache)[index] is None
+        name = f"{cells[index].platform}/{cells[index].workload}"
+        with pytest.raises(KeyError, match=rf"1 of 2 cells .*{name}"):
             run_grid(cells, cache=cache, require_cached=True)
 
         again = run_grid(cells, jobs=1, cache=cache, executor="serial")
-        assert again.executed == 1 and again.from_cache == [True, False]
+        assert again.executed == 1
+        assert again.from_cache == [i != index for i in range(len(cells))]
         assert path.read_bytes() == entry  # rewritten, byte for byte
         assert [r.to_dict() for r in again.results] == [
             r.to_dict() for r in cold.results
         ]
 
     @pytest.mark.parametrize("content", WRONG_SHAPES)
-    @pytest.mark.parametrize("kind", sorted(DOCUMENT_RUNS))
-    def test_document_entry_is_a_miss(self, tmp_path, cold_documents, kind, content):
+    def test_cell_entry_is_a_miss(self, tmp_path, content):
+        self.assert_cell_miss(tmp_path, 1, lambda path: path.write_text(content))
+
+    @pytest.mark.parametrize("damage", sorted(DAMAGED_CELLS))
+    def test_damaged_cell_entry_is_a_miss(self, tmp_path, damage):
+        self.assert_cell_miss(tmp_path, 0, DAMAGED_CELLS[damage])
+
+    @staticmethod
+    def assert_document_miss(tmp_path, cold_documents, kind, damage):
+        """A damaged ``kind`` document re-renders from its cached cells."""
         root, (cold, cold_result, simulated, _hits) = cold_documents[kind]
         cache = ResultCache(shutil.copytree(root, tmp_path / "cache"))
         path = cache.path_for(cold.key)
         entry = path.read_bytes()
-        path.write_text(content)
+        damage(path)
 
         again, result, executed, hits = DOCUMENT_RUNS[kind](cache)
         # re-rendered from the cached cells, nothing simulated
@@ -717,6 +859,18 @@ class TestWrongShapeEntries:
         assert executed == 0 and hits == simulated > 0
         assert path.read_bytes() == entry  # rewritten, byte for byte
         assert result.to_dict() == cold_result.to_dict()
+
+    @pytest.mark.parametrize("content", WRONG_SHAPES)
+    @pytest.mark.parametrize("kind", sorted(DOCUMENT_RUNS))
+    def test_document_entry_is_a_miss(self, tmp_path, cold_documents, kind, content):
+        self.assert_document_miss(
+            tmp_path, cold_documents, kind, lambda path: path.write_text(content)
+        )
+
+    @pytest.mark.parametrize("kind", sorted(DOCUMENT_RUNS))
+    def test_document_missing_a_field_is_a_miss(self, tmp_path, cold_documents, kind):
+        damage = _edited(lambda payload: payload[kind].pop(REQUIRED_FIELDS[kind]))
+        self.assert_document_miss(tmp_path, cold_documents, kind, damage)
 
 
 class TestScaleOutCache:

@@ -2,11 +2,12 @@
 
 A finished :class:`RunResult` keeps its die and channel busy intervals
 as :class:`PackedTrackers` and its stage records column by column,
-whether the run built it or a payload was decoded. These tests hold
-both forms against the eager decode the packed one replaced — a
-:class:`BusyTracker` per tracker and a :class:`StageRecord` per record,
-kept here as the reference — on every platform with every optional
-result block:
+whether the run built it, a list payload was decoded (``from_dict``) or
+a stored column payload was (``from_columns``, after a JSON round trip).
+These tests hold all three against the eager decode the packed one
+replaced — a :class:`BusyTracker` per tracker and a :class:`StageRecord`
+per record, kept here as the reference — on every platform with every
+optional result block:
 
 * the same names, intervals and records under ``len``, indexing
   (negative indices too), slices, iteration and truth value;
@@ -14,21 +15,30 @@ result block:
   channels, both utilization series, the latency and command
   breakdowns and the mean command lifetime.
 
+The column form keeps every float bit for bit (-0.0, NaN, infinities)
+and every empty shape: a tracker with no intervals, a result with no
+stage records, an empty sample-trace batch.
+
 A one-query cell builds only the flash dies its pages map to, and still
 reports every die.
 """
 
 import dataclasses
+import json
+import math
 from collections import defaultdict
 
+import numpy as np
 import pytest
 
 from repro.cache import CacheConfig
 from repro.platforms import PlatformRun, PreparedWorkload, platform_names, run_platform
 from repro.platforms.background import BackgroundIoConfig
-from repro.platforms.result import RunResult
+from repro.platforms.result import RunResult, pack_trace
 from repro.sim.stats import (
     BusyTracker,
+    HopTimeline,
+    Meter,
     PackedTrackers,
     StageAggregator,
     StageRecord,
@@ -174,12 +184,13 @@ def test_packed_records_match_the_eager_decode(prepared, platform, variant):
     fresh = run_platform(platform, prepared, **PARAMS, **VARIANTS[variant])
     data = fresh.to_dict()
     decoded = RunResult.from_dict(data)
+    columns = RunResult.from_columns(json.loads(json.dumps(fresh.to_columns())))
     eager_dies = [eager_tracker(t) for t in data["die_trackers"]]
     eager_channels = [eager_tracker(t) for t in data["channel_trackers"]]
     eager_records = [StageRecord(**rec) for rec in data["stage_agg"]["records"]]
     assert eager_records and any(t.intervals for t in eager_dies)
     reference = bits(eager_derived(data))
-    for result in (fresh, decoded):
+    for result in (fresh, decoded, columns):
         assert_reads_like(result.die_trackers, eager_dies)
         assert_reads_like(result.channel_trackers, eager_channels)
         assert_reads_like(result.stage_agg.records, eager_records)
@@ -199,6 +210,89 @@ def test_empty_packed_forms_read_as_empty_lists():
     assert agg.mean_lifetime() == 0.0
     assert set(agg.mean_breakdown().values()) == {0.0}
     assert agg.to_dict() == {"records": []}
+
+
+def json_columns(value):
+    """``value.to_columns()`` after a JSON round trip, as the cache reads it."""
+    return json.loads(json.dumps(value.to_columns()))
+
+
+def test_columns_keep_every_float_bit_for_bit():
+    odd = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 1.0 / 3.0]
+    tracker = BusyTracker("odd")
+    tracker.intervals = list(zip(odd, reversed(odd)))
+    trackers = PackedTrackers.pack([BusyTracker("idle"), tracker, BusyTracker()])
+    back = PackedTrackers.from_columns(json_columns(trackers))
+    assert back.names == ("idle", "odd", "") and back.offsets == (0, 0, 6, 6)
+    assert back.spans.tobytes() == trackers.spans.tobytes()
+    assert [t.intervals for t in back][0] == []
+    agg = StageAggregator()
+    for i, value in enumerate(odd):
+        agg.add(StageRecord(-i, 2**62 + i, value, -value, value, value, value))
+    agg.pack()
+    back = StageAggregator.from_columns(json_columns(agg))
+    assert bits(list(back.records)) == bits(list(agg.records))
+
+
+def test_columns_of_empty_records():
+    empty = PackedTrackers.pack([])
+    assert len(PackedTrackers.from_columns(json_columns(empty))) == 0
+    idle = PackedTrackers.pack([BusyTracker("x")])
+    idle = PackedTrackers.from_columns(json_columns(idle))
+    assert idle[0].intervals == [] and idle.busy_times() == [0.0]
+    agg = StageAggregator()
+    back = StageAggregator.from_columns(json_columns(agg))
+    assert len(back.records) == 0 and back.to_dict() == {"records": []}
+    result = RunResult(
+        platform="p",
+        workload="w",
+        batch_size=1,
+        num_batches=2,
+        total_seconds=0.0,
+        batches=[],
+        stage_agg=StageAggregator(),
+        hop_timeline=HopTimeline(),
+        meters=Meter(),
+        sample_trace=[pack_trace([]), pack_trace([[3, 1, 2, 1], [0, 0, 5, 0]])],
+    )
+    back = RunResult.from_columns(json_columns(result))
+    assert back.to_dict() == result.to_dict()
+    assert [b.shape for b in back.sample_trace] == [(0, 4), (2, 4)]
+    assert all(b.dtype == np.int32 for b in back.sample_trace)
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        {"times": "abc"},  # odd length
+        {"times": "zz"},  # not hex
+        {"times": "00" * 8},  # one value of a five-value row
+        {"ids": "00" * 32},  # two id rows for one timestamp row
+    ],
+)
+def test_damaged_stage_columns_raise(damage):
+    agg = StageAggregator()
+    agg.add(StageRecord(command_id=1, hop=0, completed=1.0))
+    with pytest.raises(ValueError):
+        StageAggregator.from_columns({**json_columns(agg), **damage})
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        {"names": ["a"]},  # one name for two offsets' worth of trackers
+        {"offsets": [0, 1, 1]},  # ends before the last span
+        {"offsets": [0, 3, 2]},  # runs backwards
+        {"offsets": [0, 1.0, 2]},  # not an integer
+        {"spans": "00" * 24},  # one and a half rows
+    ],
+)
+def test_damaged_tracker_columns_raise(damage):
+    tracker = BusyTracker("a")
+    tracker.intervals = [(0.0, 1.0), (2.0, 3.0)]
+    trackers = PackedTrackers.pack([tracker, BusyTracker("b")])
+    with pytest.raises(ValueError):
+        PackedTrackers.from_columns({**json_columns(trackers), **damage})
 
 
 def test_a_packed_aggregator_is_read_only():

@@ -1,26 +1,32 @@
 """Result payloads are plain JSON values by construction.
 
-Every :class:`~repro.cacheutil.CachedDocument` hands its payload as
-built to the result cache (and a cell payload to the process pool); no
-JSON round trip normalizes it first.
-These tests pin what such a round trip would guarantee:
+Every :class:`~repro.cacheutil.CachedDocument` hands its stored payload
+(``to_stored``) as built to the result cache, and a cell payload to the
+process pool; no JSON round trip normalizes it first. A cell has two
+payload forms: the stored column form, whose record arrays are hex text
+(``RunResult.to_columns``), and the list form the golden digests hash
+(``to_payload``, ``RunResult.to_dict``). The other document kinds store
+their list form. These tests pin what a JSON round trip would guarantee:
 
-* every payload equals its own ``json.loads(json.dumps(...))`` type for
-  type (``1`` against ``1.0``, a tuple against a list or a numpy scalar
-  against a float all fail) and key order for key order, on every
-  platform and with every optional result block, and for each kind of
-  scale-out, serving and ablation document;
+* every payload of either form equals its own
+  ``json.loads(json.dumps(...))`` type for type (``1`` against ``1.0``,
+  a tuple against a list or a numpy scalar against a float all fail)
+  and key order for key order, on every platform and with every
+  optional result block, and for each kind of scale-out, serving and
+  ablation document;
 * decoding a payload and encoding it again gives the payload back, type
   for type and key for key, once integer meters are floats (decoding
   normalizes them, so a decoded document is a fixpoint) — for cell
   results and for a scale-out document, whose per-device results are
-  decoded ones;
+  decoded ones; a decoded stored payload encodes to the same list form
+  as the decoded list payload;
 * the hand-built ``to_dict`` of each dataclass instrument emits every
   field, in declaration order, with the values ``dataclasses.asdict``
   gives;
 * fresh and cached grid results are type-exactly equal under both local
-  backends, and so are fresh and cached documents (key order aside:
-  cache entries are written with sorted keys).
+  backends on every platform and optional block, and so are fresh and
+  cached documents (key order aside: cache entries are written with
+  sorted keys).
 """
 
 import dataclasses
@@ -131,6 +137,11 @@ def test_payload_survives_json_unchanged(prepared, platform, variant):
     meters = {k: float(v) for k, v in payload["result"]["meters"].items()}
     assert_type_exact(decoded, {**payload["result"], "meters": meters})
     assert_type_exact(RunResult.from_dict(decoded).to_dict(), decoded)
+    # the stored column form survives JSON too and decodes to the same
+    stored = CELL_DOC.to_stored(result)
+    assert stored["schema"] == CELL_DOC.column_schema != payload["schema"]
+    assert_type_exact(stored, json.loads(json.dumps(stored)))
+    assert_type_exact(CELL_DOC.from_stored(stored).to_dict(), decoded)
     # every optional block is really present in its variant
     block = {
         "page_cache": "cache",
@@ -171,19 +182,26 @@ def test_batch_timing_emits_every_field_in_order():
     assert BatchTiming.from_dict(data) == timing
 
 
+def grid_variant(variant):
+    """``VARIANTS[variant]`` as ``GridCell`` fields."""
+    options = dict(VARIANTS[variant])
+    if "targets" in options:
+        options["targets"] = tuple(map(tuple, options["targets"]))
+    return options
+
+
 @pytest.mark.parametrize("executor", ["serial", "process"])
 def test_fresh_and_cached_results_are_type_exact(tmp_path, executor):
-    tiny = dict(batch_size=8, num_batches=1, scaled_nodes=NODES)
     cells = [
-        GridCell(platform=p, workload="ogbn", **tiny) for p in ("bg2", "cc", "gids")
-    ] + [
         GridCell(
-            platform="bg2",
+            platform=platform,
             workload="ogbn",
-            page_cache=CacheConfig(capacity_mb=0.25),
-            **tiny,
-        ),
-        GridCell(platform="cc", workload="ppi", sample_trace=True, **tiny),
+            scaled_nodes=NODES,
+            **PARAMS,
+            **grid_variant(variant),
+        )
+        for platform in platform_names()
+        for variant in sorted(VARIANTS)
     ]
     cache = ResultCache(tmp_path)
     cold = run_grid(cells, jobs=2, cache=cache, executor=executor)
