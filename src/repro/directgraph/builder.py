@@ -39,11 +39,11 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from ..gnn.features import FeatureTable
+from ..gnn.features import GATHER_BLOCK, FeatureTable
 from ..gnn.graph import Graph
 from .address import ADDRESS_BYTES, AddressCodec, SectionAddress
 from .spec import (
@@ -714,6 +714,20 @@ def _packed_addresses(
     return (pages << codec.section_bits) | sections
 
 
+def _feature_rows(features: FeatureTable, nodes: np.ndarray) -> Iterator[memoryview]:
+    """The feature bytes of each of ``nodes``, in order.
+
+    Rows are gathered :data:`~repro.gnn.features.GATHER_BLOCK` elements
+    at a time, so an image of any size holds one block of them at once.
+    """
+    rows = max(1, GATHER_BLOCK // features.dim)
+    step = features.bytes_per_vector
+    for lo in range(0, len(nodes), rows):
+        raw = memoryview(features.gather(nodes[lo : lo + rows]).tobytes())
+        for at in range(0, len(raw), step):
+            yield raw[at : at + step]
+
+
 def _serialize_pages(
     image: DirectGraphImage, graph: Graph, features: FeatureTable
 ) -> Dict[int, bytes]:
@@ -752,7 +766,11 @@ def _serialize_pages(
     growth_bytes = b"\xff\xff\xff\xff" * growth_slots
     growth_len = len(growth_bytes)
     feature_bytes = spec.feature_bytes
-    feature_vector = features.vector
+    # Each primary section's feature bytes, in the order the loop below
+    # writes them.
+    next_features = _feature_rows(
+        features, image.entry_node[image.entry_kind == SECTION_TYPE_PRIMARY]
+    ).__next__
     page_size = spec.page_size
     entry_indptr = image.entry_indptr.tolist()
     entry_node = image.entry_node.tolist()
@@ -807,10 +825,7 @@ def _serialize_pages(
                 if growth_len:  # reserved (null) secondary slots
                     buf[pos : pos + growth_len] = growth_bytes
                     pos += growth_len
-                vec = np.ascontiguousarray(
-                    feature_vector(node_id), dtype=np.float16
-                )
-                raw = vec.tobytes()
+                raw = next_features()
                 buf[pos : pos + len(raw)] = raw
                 pos += feature_bytes
                 start = 4 * indptr[node_id]

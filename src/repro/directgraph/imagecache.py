@@ -14,12 +14,16 @@ Keys come from :func:`repro.cacheutil.stable_hash` over the canonical
 value contents and the package's source fingerprint
 (:func:`repro.cacheutil.code_fingerprint`), so logically-equal specs
 constructed in different ways share entries and a builder edit misses.
-Entries are written atomically (tmp file + rename) and any
+Entries are written atomically (tmp file + rename), so two processes
+storing one key both succeed and leave one whole entry, and any
 unreadable/corrupt entry is treated as a miss, never an error.
 
 An entry holds the image's layout arrays as they are (the image keeps
 no plan objects, so a load builds none), the CSR graph and the page
-bytes. Feature tables are *not* stored: they are procedural (O(1)
+bytes. It is the archive ``np.savez`` would write, one ``.npy`` member
+per array, but the page bytes go into their ``pages_blob`` member a
+chunk of pages at a time, so a store never joins the whole image into
+one blob. Feature tables are *not* stored: they are procedural (O(1)
 memory, derived from the workload seed), so the loader reconstructs them
 for free while the expensive parts — edges and page bytes — come off
 disk.
@@ -28,6 +32,7 @@ disk.
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
@@ -166,7 +171,7 @@ class ImageCache:
             raise ValueError("only serialized images can be cached")
         arrays = _image_to_arrays(graph, image)
         path = self.path_for(key)
-        atomic_write(path, lambda handle: np.savez(handle, **arrays))
+        atomic_write(path, lambda handle: _write_entry(handle, arrays, image))
         self.counters.stores += 1
         COUNTERS.stores += 1
         return path
@@ -214,15 +219,46 @@ class ImageCache:
 # The entry holds the image's own arrays (``IMAGE_ARRAYS``) as they are,
 # plus the graph's CSR and every page's bytes. Node degrees are the
 # graph's. Only images whose page rows are pages 0..P-1 are stored, so page
-# bytes concatenate into a single uint8 blob.
+# bytes concatenate into a single uint8 blob, ``pages_blob``.
+
+#: Pages joined per write of ``pages_blob``: the writer holds this many
+#: pages' bytes beside the image, never a copy of all of them.
+_PAGES_PER_WRITE = 256
+
+
+def _write_entry(handle, arrays: dict, image: DirectGraphImage) -> None:
+    """Write an entry as ``np.savez`` would, with ``pages_blob`` streamed.
+
+    Each array is one ``<name>.npy`` member of an uncompressed zip, so
+    ``np.load`` reads the entry back unchanged; the page bytes are written
+    ``_PAGES_PER_WRITE`` pages at a time under one ``.npy`` header.
+    """
+    num_pages = image.num_pages
+    pages = image.pages
+    blob_header = {
+        "descr": np.lib.format.dtype_to_descr(np.dtype(np.uint8)),
+        "fortran_order": False,
+        "shape": (num_pages * image.spec.page_size,),
+    }
+    with zipfile.ZipFile(
+        handle, mode="w", compression=zipfile.ZIP_STORED, allowZip64=True
+    ) as archive:
+        for name, value in arrays.items():
+            with archive.open(f"{name}.npy", mode="w", force_zip64=True) as member:
+                np.lib.format.write_array(member, value, allow_pickle=False)
+        with archive.open("pages_blob.npy", mode="w", force_zip64=True) as member:
+            np.lib.format.write_array_header_1_0(member, blob_header)
+            for lo in range(0, num_pages, _PAGES_PER_WRITE):
+                hi = min(lo + _PAGES_PER_WRITE, num_pages)
+                member.write(b"".join(pages[i] for i in range(lo, hi)))
 
 
 def _image_to_arrays(graph: Graph, image: DirectGraphImage) -> dict:
+    """Every array of an entry but ``pages_blob``, by member name."""
     spec = image.spec
     num_pages = image.num_pages
     if not np.array_equal(image.page_index, np.arange(num_pages)):
         raise ValueError("only images on pages 0..P-1 can be cached")
-    blob = b"".join(image.pages[i] for i in range(num_pages))
     meta = {
         "schema": IMAGE_SCHEMA_VERSION,
         "page_size": spec.page_size,
@@ -245,7 +281,6 @@ def _image_to_arrays(graph: Graph, image: DirectGraphImage) -> dict:
         "indptr": np.asarray(graph.indptr, dtype=np.int64),
         "indices": np.asarray(graph.indices, dtype=np.int32),
         **{name: getattr(image, name) for name in IMAGE_ARRAYS},
-        "pages_blob": np.frombuffer(blob, dtype=np.uint8),
     }
 
 

@@ -75,11 +75,12 @@ def power_law_graph(
 
     # Preferential endpoint selection: sample positions in the stub array,
     # whose owner array (node v repeated degree(v) times) maps each to its
-    # node in O(E).
+    # node in O(E). The owners are int32 from the start, so the gather
+    # writes the endpoints directly, with no int64 copy to cast.
     stub_positions = rng.integers(0, num_edges, size=num_edges, dtype=np.int64)
-    endpoints = np.repeat(np.arange(num_nodes), degrees)[stub_positions].astype(
-        np.int32
-    )
+    endpoints = np.repeat(np.arange(num_nodes, dtype=np.int32), degrees)[
+        stub_positions
+    ]
     return Graph(indptr, endpoints)
 
 

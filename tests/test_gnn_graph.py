@@ -14,6 +14,7 @@ from repro.gnn import (
     ring_of_cliques,
     uniform_random_graph,
 )
+from repro.workloads import workload_by_name
 
 
 class TestGraph:
@@ -120,6 +121,15 @@ class TestGenerators:
             assert 0 <= g.indices.min() and g.indices.max() < n
 
 
+def graph_digest(g):
+    """sha256 prefix of the dtype and bytes of indptr, then indices."""
+    h = hashlib.sha256()
+    for array in (g.indptr, g.indices):
+        h.update(array.dtype.str.encode())
+        h.update(array.tobytes())
+    return h.hexdigest()[:16]
+
+
 class TestPreferentialEndpoints:
     """Stub owners come from the owner array, not a binary search."""
 
@@ -161,9 +171,25 @@ class TestPreferentialEndpoints:
     @pytest.mark.parametrize("family,seed", sorted(PINNED))
     def test_generators_draw_the_same_graphs(self, family, seed):
         make = power_law_graph if family == "power_law" else community_graph
-        g = make(3000, 9.0, seed=seed)
-        h = hashlib.sha256()
-        for array in (g.indptr, g.indices):
-            h.update(array.dtype.str.encode())
-            h.update(array.tobytes())
-        assert h.hexdigest()[:16] == self.PINNED[(family, seed)]
+        assert graph_digest(make(3000, 9.0, seed=seed)) == self.PINNED[(family, seed)]
+
+    # The same digests of the five Table III graphs at two scales, drawn
+    # when power_law_graph gathered endpoints from an int64 owner array
+    # and cast them to int32 afterwards.
+    TABLE_III = {
+        ("reddit", 256): "da30b8f0ffecf9fe",
+        ("reddit", 2048): "cd121e129b9867f5",
+        ("amazon", 256): "853991a0d93b0337",
+        ("amazon", 2048): "c6c75d165712b9b4",
+        ("movielens", 256): "78f9e95957934a6a",
+        ("movielens", 2048): "798aee235c8cf2a1",
+        ("ogbn", 256): "1ad7cf4b1f83c22f",
+        ("ogbn", 2048): "ec7426c706757a41",
+        ("ppi", 256): "ff551194c983ecb4",
+        ("ppi", 2048): "3d329b34a7bbedeb",
+    }
+
+    @pytest.mark.parametrize("name,nodes", sorted(TABLE_III))
+    def test_table_iii_graphs_are_unchanged(self, name, nodes):
+        g = workload_by_name(name).scaled(nodes).build_graph()
+        assert graph_digest(g) == self.TABLE_III[(name, nodes)]

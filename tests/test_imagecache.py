@@ -1,5 +1,8 @@
 """Tests for the content-addressed DirectGraph image cache."""
 
+import io
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -60,6 +63,29 @@ class TestRoundtrip:
         np.testing.assert_array_equal(
             warm.features.vector(0), cold.features.vector(0)
         )
+
+    def test_entry_members_equal_savez(self, spec, cache):
+        """``put`` streams the page bytes, yet every member of the entry
+        holds what ``np.savez`` writes for the same arrays."""
+        from repro.directgraph import imagecache
+
+        prepared = prepare(spec, page_size=512)
+        image = prepared.image
+        # pages_blob takes a full write and a partial one
+        assert image.num_pages > imagecache._PAGES_PER_WRITE
+        cache.put("somekey", prepared.graph, image)
+        blob = b"".join(image.pages[i] for i in range(image.num_pages))
+        reference = io.BytesIO()
+        np.savez(
+            reference,
+            **imagecache._image_to_arrays(prepared.graph, image),
+            pages_blob=np.frombuffer(blob, dtype=np.uint8),
+        )
+        with zipfile.ZipFile(cache.path_for("somekey")) as got:
+            with zipfile.ZipFile(reference) as want:
+                assert got.namelist() == want.namelist()
+                for name in want.namelist():
+                    assert got.read(name) == want.read(name), name
 
     def test_plan_only_image_rejected(self, spec, cache):
         graph = spec.build_graph()
@@ -131,11 +157,11 @@ class TestRobustness:
         prepared = prepare(spec)
         key = cache.key_for(spec, 4096, fmt_for(spec))
 
-        def savez(handle, **arrays):
+        def write_entry(handle, arrays, image):
             handle.write(b"half an archive")
             raise OSError("disk full")
 
-        monkeypatch.setattr(imagecache.np, "savez", savez)
+        monkeypatch.setattr(imagecache, "_write_entry", write_entry)
         with pytest.raises(OSError, match="disk full"):
             cache.put(key, prepared.graph, prepared.image)
         assert list(cache.root.iterdir()) == []

@@ -11,6 +11,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro
@@ -26,7 +27,12 @@ from repro.orchestrate import (
     run_grid,
     stable_hash,
 )
-from repro.platforms import PlatformRun, platform_by_name, run_platform
+from repro.platforms import (
+    PlatformRun,
+    PreparedWorkload,
+    platform_by_name,
+    run_platform,
+)
 from repro.ssd import ull_ssd
 from repro.workloads import workload_by_name
 
@@ -422,6 +428,105 @@ class TestOrphanedTmpFiles:
         assert cache.clear() == 1
         assert fresh.exists() and not old.exists()
         assert cache.stats().orphans == 0
+
+
+# Child of TestTwoProcessesOneDirectory: imports, says ready, waits for
+# the go file, then fills the cache directory argv[1] ("grid" runs the
+# two tiny cells into a ResultCache, "prepare" prepares one image).
+FILL_CACHE = """
+import sys, time
+from pathlib import Path
+from repro.orchestrate import GridCell, ResultCache, run_grid
+from repro.platforms import PreparedWorkload
+from repro.workloads import workload_by_name
+
+root, go, what = sys.argv[1], Path(sys.argv[2]), sys.argv[3]
+print("ready", flush=True)
+deadline = time.monotonic() + 60
+while not go.exists():
+    if time.monotonic() > deadline:
+        sys.exit("no go file")
+    time.sleep(0.002)
+if what == "grid":
+    cells = [
+        GridCell(platform=p, workload="ogbn", batch_size=8, num_batches=1,
+                 scaled_nodes=256)
+        for p in ("bg2", "cc")
+    ]
+    print(run_grid(cells, cache=ResultCache(root)).executed)
+else:
+    PreparedWorkload.prepare(
+        workload_by_name("amazon").scaled(512), image_cache=root
+    )
+    print("prepared")
+"""
+
+
+class TestTwoProcessesOneDirectory:
+    """Two processes fill one cache directory at the same time: both
+    succeed, the entries are what one process alone writes, and no tmp
+    file is left."""
+
+    @staticmethod
+    def fill_together(root: Path, what: str) -> list:
+        go = root.parent / f"go-{what}"
+        env = {
+            **os.environ,
+            "PYTHONPATH": str(Path(repro.__file__).resolve().parent.parent),
+        }
+        children = [
+            subprocess.Popen(
+                [sys.executable, "-c", FILL_CACHE, str(root), str(go), what],
+                env=env,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+            for _ in range(2)
+        ]
+        try:
+            for child in children:
+                assert child.stdout.readline().strip() == "ready"
+            go.touch()
+            outputs = [child.communicate(timeout=120) for child in children]
+        finally:
+            for child in children:
+                child.kill()
+                child.wait(timeout=10)
+        for child, (out, err) in zip(children, outputs):
+            assert child.returncode == 0, err
+        assert list(root.rglob("*.tmp.*")) == []
+        return [out.split() for out, _ in outputs]
+
+    def test_result_cache(self, tmp_path):
+        root = tmp_path / "shared"
+        printed = self.fill_together(root, "grid")
+        # each child found the directory empty or finished: 0-2 simulated
+        assert all(len(lines) == 1 and int(lines[0]) <= 2 for lines in printed)
+        serial = tmp_path / "serial"
+        run_grid(tiny_cells(), cache=ResultCache(serial))
+        entries = sorted(path.name for path in serial.glob("*.json"))
+        assert len(entries) == 2
+        assert sorted(path.name for path in root.glob("*.json")) == entries
+        for name in entries:
+            assert (root / name).read_bytes() == (serial / name).read_bytes()
+
+    def test_image_cache(self, tmp_path):
+        from repro.directgraph import ImageCache
+        from repro.directgraph.builder import IMAGE_ARRAYS
+
+        root = tmp_path / "images"
+        assert self.fill_together(root, "prepare") == [["prepared"]] * 2
+        (entry,) = root.glob("*.npz")
+        cached = ImageCache(root).get(entry.stem)
+        assert cached is not None
+        built = PreparedWorkload.prepare(
+            workload_by_name("amazon").scaled(512), image_cache=None
+        )
+        assert cached.image.pages == built.image.pages
+        for name in IMAGE_ARRAYS:
+            got, want = getattr(cached.image, name), getattr(built.image, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
 
 
 class TestRunGrid:

@@ -1,0 +1,45 @@
+"""The vectorized SplitMix64 against the scalar one it stands beside."""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from repro.rng import splitmix64, splitmix64_array
+
+EDGES = [0, 1, 2**63, 2**64 - 1]
+
+
+def test_array_form_equals_scalar_on_the_edges():
+    out = splitmix64_array(np.array(EDGES, dtype=np.uint64))
+    assert out.dtype == np.uint64
+    assert out.tolist() == [splitmix64(x) for x in EDGES]
+
+
+def test_array_form_equals_scalar_on_a_sweep():
+    xs = np.arange(-50, 50, dtype=np.int64) * 0x9E3779B97F4A7C1
+    expected = [splitmix64(int(x) % 2**64) for x in xs]
+    assert splitmix64_array(xs).tolist() == expected
+
+
+def test_overflow_wraps_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = splitmix64_array(np.uint64(2**64 - 1))
+        splitmix64_array(np.array(EDGES, dtype=np.uint64).reshape(2, 2))
+    assert out.shape == (1,)
+    assert int(out[0]) == splitmix64(2**64 - 1)
+
+
+def test_input_is_left_unchanged():
+    xs = np.array(EDGES, dtype=np.uint64)
+    splitmix64_array(xs)
+    assert xs.tolist() == EDGES
+
+
+@pytest.mark.parametrize("shape", [(0,), (3, 4)])
+def test_shape_is_kept(shape):
+    xs = np.arange(int(np.prod(shape)), dtype=np.uint64).reshape(shape)
+    out = splitmix64_array(xs)
+    assert out.shape == shape
+    assert out.ravel().tolist() == [splitmix64(int(x)) for x in xs.ravel()]
