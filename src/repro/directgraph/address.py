@@ -14,6 +14,7 @@ from dataclasses import dataclass
 __all__ = ["AddressCodec", "SectionAddress", "ADDRESS_BYTES"]
 
 ADDRESS_BYTES = 4
+_ADDRESS_LIMIT = 1 << (ADDRESS_BYTES * 8)
 
 
 @dataclass(frozen=True)
@@ -39,6 +40,7 @@ class AddressCodec:
             )
         self.page_bits = page_bits
         self.section_bits = section_bits
+        self._section_mask = (1 << section_bits) - 1
 
     @classmethod
     def for_geometry(cls, capacity_bytes: int, page_size: int) -> "AddressCodec":
@@ -76,12 +78,9 @@ class AddressCodec:
         return (addr.page << self.section_bits) | addr.section
 
     def unpack(self, value: int) -> SectionAddress:
-        if not (0 <= value < 1 << (ADDRESS_BYTES * 8)):
+        if not (0 <= value < _ADDRESS_LIMIT):
             raise ValueError("address out of 32-bit range")
-        return SectionAddress(
-            page=value >> self.section_bits,
-            section=value & (self.max_sections_per_page - 1),
-        )
+        return SectionAddress(value >> self.section_bits, value & self._section_mask)
 
     def pack_bytes(self, addr: SectionAddress) -> bytes:
         return self.pack(addr).to_bytes(ADDRESS_BYTES, "little")

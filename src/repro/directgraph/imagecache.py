@@ -180,8 +180,8 @@ class ImageCache:
         """Reconstructed entry, or None on miss / unreadable bytes."""
         path = self.path_for(key)
         try:
-            with np.load(path) as data:
-                cached = _arrays_to_image(data)
+            with zipfile.ZipFile(path) as archive:
+                cached = _read_entry(archive)
         except Exception:
             self.counters.misses += 1
             COUNTERS.misses += 1
@@ -284,10 +284,44 @@ def _image_to_arrays(graph: Graph, image: DirectGraphImage) -> dict:
     }
 
 
-def _arrays_to_image(data) -> CachedImage:
+def _read_array(archive: zipfile.ZipFile, name: str) -> np.ndarray:
+    with archive.open(f"{name}.npy") as member:
+        return np.lib.format.read_array(member, allow_pickle=False)
+
+
+def _read_pages(archive: zipfile.ZipFile, num_pages: int, page_size: int) -> dict:
+    """The ``pages_blob`` member as one ``bytes`` per page.
+
+    Read as :func:`_write_entry` writes it, ``_PAGES_PER_WRITE`` pages at
+    a time, so a load holds one chunk beside the pages, never the whole
+    blob as well.
+    """
+    pages = {}
+    with archive.open("pages_blob.npy") as member:
+        version = np.lib.format.read_magic(member)
+        if version != (1, 0):
+            raise ValueError(f"unsupported pages_blob header {version}")
+        shape, _fortran, dtype = np.lib.format.read_array_header_1_0(member)
+        if dtype != np.uint8 or shape != (num_pages * page_size,):
+            raise ValueError("page blob size mismatch")
+        for lo in range(0, num_pages, _PAGES_PER_WRITE):
+            hi = min(lo + _PAGES_PER_WRITE, num_pages)
+            chunk = member.read((hi - lo) * page_size)
+            if len(chunk) != (hi - lo) * page_size:
+                raise ValueError("page blob cut short")
+            for i in range(lo, hi):
+                at = (i - lo) * page_size
+                pages[i] = chunk[at : at + page_size]
+            del chunk
+        if member.read(1):
+            raise ValueError("page blob runs past its pages")
+    return pages
+
+
+def _read_entry(archive: zipfile.ZipFile) -> CachedImage:
     from .address import AddressCodec  # local: avoid import-order surprises
 
-    meta = json.loads(bytes(data["meta"]).decode())
+    meta = json.loads(bytes(_read_array(archive, "meta")).decode())
     if meta["schema"] != IMAGE_SCHEMA_VERSION:
         raise ValueError(f"unsupported image schema {meta['schema']}")
     spec = FormatSpec(
@@ -300,16 +334,9 @@ def _arrays_to_image(data) -> CachedImage:
         feature_elem_bytes=int(meta["feature_elem_bytes"]),
         growth_slots=int(meta["growth_slots"]),
     )
-    graph = Graph(data["indptr"], data["indices"])
-    arrays = {name: data[name] for name in IMAGE_ARRAYS}
-    num_pages = len(arrays["page_type"])
-    blob = data["pages_blob"].tobytes()
-    page_size = spec.page_size
-    if len(blob) != num_pages * page_size:
-        raise ValueError("page blob size mismatch")
-    pages = {
-        i: blob[i * page_size : (i + 1) * page_size] for i in range(num_pages)
-    }
+    graph = Graph(_read_array(archive, "indptr"), _read_array(archive, "indices"))
+    arrays = {name: _read_array(archive, name) for name in IMAGE_ARRAYS}
+    pages = _read_pages(archive, len(arrays["page_type"]), spec.page_size)
     image = DirectGraphImage(
         spec,
         BuildStats(**meta["stats"]),

@@ -36,6 +36,14 @@ __all__ = [
 ]
 
 
+# Little-endian section headers (spec.py): type, flags, length, node id,
+# then the primary's neighbor count, secondary count and inline count, or
+# the secondary's neighbor count and a reserved u16.
+_PRIMARY_HEADER = struct.Struct("<BBHIIHH")
+_SECONDARY_HEADER = struct.Struct("<BBHIHH")
+_ENTRY = struct.Struct("<I")  # one u32 LE address entry
+
+
 class PackedAddresses(Sequence[SectionAddress]):
     """A read-only run of on-flash address entries, unpacked on access.
 
@@ -58,19 +66,17 @@ class PackedAddresses(Sequence[SectionAddress]):
     def __getitem__(self, index):
         if isinstance(index, slice):
             return [self[i] for i in range(*index.indices(len(self)))]
-        n = len(self._raw) // ADDRESS_BYTES
+        raw = self._raw
+        n = len(raw) // ADDRESS_BYTES
         if index < 0:
             index += n
         if not 0 <= index < n:
             raise IndexError("address index out of range")
-        at = index * ADDRESS_BYTES
-        return self._codec.unpack(
-            int.from_bytes(self._raw[at : at + ADDRESS_BYTES], "little")
-        )
+        return self._codec.unpack(_ENTRY.unpack_from(raw, index * ADDRESS_BYTES)[0])
 
     def __iter__(self) -> Iterator[SectionAddress]:
         unpack = self._codec.unpack
-        for (value,) in struct.iter_unpack("<I", self._raw):  # u32 LE entries
+        for (value,) in _ENTRY.iter_unpack(self._raw):
             yield unpack(value)
 
     def __eq__(self, other) -> bool:
@@ -82,7 +88,7 @@ class PackedAddresses(Sequence[SectionAddress]):
         return repr(list(self))
 
 
-@dataclass
+@dataclass(slots=True)
 class PrimarySectionView:
     """A decoded primary section."""
 
@@ -103,7 +109,7 @@ class PrimarySectionView:
         return np.frombuffer(self.feature_bytes, dtype=np.float16, count=dim)
 
 
-@dataclass
+@dataclass(slots=True)
 class SecondarySectionView:
     """A decoded secondary (overflow neighbor list) section."""
 
@@ -147,26 +153,25 @@ def decode_section(spec: FormatSpec, raw: bytes, index: int) -> SectionView:
     """Decode section ``index`` of a page (as the section iterator does).
 
     Any malformed content raises :class:`DirectGraphFormatError` — never a
-    bare slicing/conversion error — so callers can treat all corruption
-    uniformly (the on-die checker turns it into a SamplerFault).
+    bare slicing/conversion error, nor the ``struct.error`` of a header cut
+    off by the page end — so callers can treat all corruption uniformly
+    (the on-die checker turns it into a SamplerFault).
     """
     try:
         return _decode_section_unchecked(spec, raw, index)
     except DirectGraphFormatError:
         raise
-    except (ValueError, IndexError) as err:
+    except (ValueError, IndexError, struct.error) as err:
         raise DirectGraphFormatError(f"corrupt section {index}: {err}")
 
 
-def _section_size(spec: FormatSpec, raw: bytes, at: int) -> int:
-    """The section's declared length, checked to end inside the page."""
-    size = int.from_bytes(raw[at + 2 : at + 4], "little")
+def _check_size(spec: FormatSpec, at: int, size: int) -> None:
+    """Check that the section's declared length ends inside the page."""
     if at + size > spec.page_size:
         raise DirectGraphFormatError(
             f"section at offset {at} declares {size} B, past the "
             f"{spec.page_size} B page end"
         )
-    return size
 
 
 def _address_run(spec: FormatSpec, raw: bytes, at: int, count: int) -> PackedAddresses:
@@ -190,12 +195,16 @@ def _decode_section_unchecked(
     at = _section_offset(spec, raw, index)
     stype = raw[at]
     if stype == SECTION_TYPE_PRIMARY:
-        growth_free = raw[at + 1]
-        size = _section_size(spec, raw, at)
-        node_id = int.from_bytes(raw[at + 4 : at + 8], "little")
-        neighbor_count = int.from_bytes(raw[at + 8 : at + 12], "little")
-        n_secondary = int.from_bytes(raw[at + 12 : at + 14], "little")
-        n_inline = int.from_bytes(raw[at + 14 : at + 16], "little")
+        (
+            _stype,
+            growth_free,
+            size,
+            node_id,
+            neighbor_count,
+            n_secondary,
+            n_inline,
+        ) = _PRIMARY_HEADER.unpack_from(raw, at)
+        _check_size(spec, at, size)
         cursor = at + PRIMARY_HEADER_BYTES
         sec_addrs = _address_run(spec, raw, cursor, n_secondary)
         # skip the secondary addresses and the reserved (null) slots
@@ -220,9 +229,10 @@ def _decode_section_unchecked(
             growth_slots_free=growth_free,
         )
     if stype == SECTION_TYPE_SECONDARY:
-        size = _section_size(spec, raw, at)
-        node_id = int.from_bytes(raw[at + 4 : at + 8], "little")
-        count = int.from_bytes(raw[at + 8 : at + 10], "little")
+        _stype, _flags, size, node_id, count, _reserved = (
+            _SECONDARY_HEADER.unpack_from(raw, at)
+        )
+        _check_size(spec, at, size)
         cursor = at + SECONDARY_HEADER_BYTES
         addrs = _address_run(spec, raw, cursor, count)
         cursor += ADDRESS_BYTES * count

@@ -16,7 +16,7 @@ encode/decode round-trips are testable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from typing import Tuple
 
@@ -91,7 +91,7 @@ class GnnTaskConfig:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SamplingCommand:
     """One sampling/feature-fetch operation on one flash section.
 
@@ -101,6 +101,10 @@ class SamplingCommand:
     ``draws`` (secondary only) lists coalesced ``(sample_index,
     in_section_index)`` pairs; ``in_section_index`` is -1 when the die must
     re-draw within the section (the paper's modulo-resample policy).
+
+    A plain slotted record, built once per command on the datapath's hot
+    path: nothing mutates or hashes one, so it is neither frozen nor
+    hashable.
     """
 
     kind: CommandKind
@@ -168,13 +172,14 @@ class SamplingCommand:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SampleRecord:
     """Subgraph-reconstruction record emitted when a section is read.
 
     Matches the paper's sampling-result metadata (batch id / last node id /
     current node id): the engine rebuilds the tree from (position,
-    node id) pairs because positions encode parentage.
+    node id) pairs because positions encode parentage. A plain slotted
+    record, like :class:`SamplingCommand`.
     """
 
     target: int

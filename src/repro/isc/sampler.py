@@ -45,10 +45,15 @@ from ..gnn.sampling import (
     SampledSubgraph,
     TreeNode,
     child_position,
+    depth_offsets,
     parent_position,
     tree_capacity,
 )
+from ..rng import counter_draw, splitmix64
 from .commands import (
+    COMMAND_BASE_BYTES,
+    DRAW_ENTRY_BYTES,
+    RECORD_BYTES,
     UNKNOWN_NODE,
     CommandKind,
     GnnTaskConfig,
@@ -56,7 +61,6 @@ from .commands import (
     SampleRecord,
     SamplingCommand,
 )
-from .trng import counter_draw
 
 __all__ = [
     "SamplerPolicy",
@@ -68,6 +72,9 @@ __all__ = [
 ]
 
 _RESAMPLE_SALT = 0x5EC0  # extra key for the in-section re-draw policy
+_PRIMARY = CommandKind.SAMPLE_PRIMARY
+_SECONDARY = CommandKind.SAMPLE_SECONDARY
+_FETCH = CommandKind.FETCH_FEATURE
 
 
 class SamplerPolicy(Enum):
@@ -93,12 +100,14 @@ class SampleResult:
 
     def payload_bytes(self) -> int:
         """Size of the result stream leaving the die over the channel."""
-        total = RESULT_HEADER_BYTES
+        total = RESULT_HEADER_BYTES + COMMAND_BASE_BYTES * len(self.children)
         if self.feature_bytes is not None:
             total += len(self.feature_bytes)
-        total += sum(c.encoded_bytes for c in self.children)
+        for child in self.children:
+            if child.draws:
+                total += DRAW_ENTRY_BYTES * len(child.draws)
         if self.record is not None:
-            total += self.record.encoded_bytes
+            total += RECORD_BYTES
         return total
 
 
@@ -121,6 +130,10 @@ class DieSampler:
         self.config = config
         self.policy = policy
         self.coalesce_secondary = coalesce_secondary
+        # Heap numbering: the children of ``position`` (depth ``d - 1``)
+        # are ``first + j`` with ``first = offsets[d] + (position -
+        # offsets[d - 1]) * fanout`` (gnn.sampling.child_position).
+        self._offsets = depth_offsets(config.fanouts)
 
     # -- command execution ----------------------------------------------------
 
@@ -130,9 +143,10 @@ class DieSampler:
         The section's neighbor entries stay packed; only the entries the
         TRNG draws select are unpacked.
         """
-        if command.kind in (CommandKind.SAMPLE_PRIMARY, CommandKind.FETCH_FEATURE):
+        kind = command.kind
+        if kind == _PRIMARY or kind == _FETCH:
             return self._execute_primary(page_bytes, command)
-        if command.kind == CommandKind.SAMPLE_SECONDARY:
+        if kind == _SECONDARY:
             return self._execute_secondary(page_bytes, command)
         raise SamplerFault(f"die cannot execute command kind {command.kind}")
 
@@ -167,34 +181,37 @@ class DieSampler:
             feature_bytes=section.feature_bytes,
             sections_scanned=command.address.section + 1,
         )
-        if command.kind == CommandKind.FETCH_FEATURE:
+        if command.kind == _FETCH:
             return result  # final hop: the vector retriever alone runs
+        config = self.config
         child_depth = command.hop + 1
-        if child_depth > self.config.num_hops or section.neighbor_count == 0:
+        neighbor_count = section.neighbor_count
+        if child_depth > config.num_hops or neighbor_count == 0:
             return result
-        fanouts = self.config.fanouts
+        fanout = config.fanout
+        target = command.target
+        position = command.position
+        # Fold (seed, target, depth, position) once; draw j then folds j
+        # alone: counter_fold(state, j) == counter_draw(..., position, j).
+        state = counter_draw(config.seed, target, child_depth, position)
+        offsets = self._offsets
+        first = offsets[child_depth] + (position - offsets[child_depth - 1]) * fanout
+        child_kind = self._child_kind(child_depth)
+        n_inline = section.n_inline
+        inline = section.inline_neighbor_addrs
+        children = result.children
         sec_cap = self.spec.max_secondary_neighbors
         pending_secondary: Dict[int, List] = {}
-        for j in range(self.config.fanout):
-            draw = counter_draw(
-                self.config.seed, command.target, child_depth, command.position, j
-            )
-            idx = draw % section.neighbor_count
-            result.neighbors_sampled += 1
-            if idx < section.n_inline:
-                result.children.append(
+        for j in range(fanout):
+            idx = splitmix64(state ^ j) % neighbor_count  # counter_fold(state, j)
+            if idx < n_inline:
+                children.append(
                     SamplingCommand(
-                        kind=self._child_kind(child_depth),
-                        address=section.inline_neighbor_addrs[idx],
-                        target=command.target,
-                        hop=child_depth,
-                        position=child_position(
-                            fanouts, command.position, child_depth, j
-                        ),
+                        child_kind, inline[idx], target, child_depth, first + j
                     )
                 )
             else:
-                overflow = idx - section.n_inline
+                overflow = idx - n_inline
                 ordinal = overflow // sec_cap
                 if ordinal >= len(section.secondary_addrs):
                     raise SamplerFault(
@@ -206,6 +223,7 @@ class DieSampler:
                 else:
                     entry = (j, -1)
                 pending_secondary.setdefault(ordinal, []).append(entry)
+        result.neighbors_sampled = fanout
         # Coalesced commands: one read per touched secondary section.
         for ordinal in sorted(pending_secondary):
             draw_groups = (
@@ -214,13 +232,13 @@ class DieSampler:
                 else [(entry,) for entry in pending_secondary[ordinal]]
             )
             for draws in draw_groups:
-                result.children.append(
+                children.append(
                     SamplingCommand(
-                        kind=CommandKind.SAMPLE_SECONDARY,
+                        kind=_SECONDARY,
                         address=section.secondary_addrs[ordinal],
-                        target=command.target,
+                        target=target,
                         hop=command.hop,
-                        position=command.position,
+                        position=position,
                         node_id=section.node_id,
                         draws=draws,
                     )
@@ -253,12 +271,13 @@ class DieSampler:
             feature_bytes=None,
             sections_scanned=command.address.section + 1,
         )
+        config = self.config
         child_depth = command.hop + 1
-        fanouts = self.config.fanouts
+        child_kind = self._child_kind(child_depth)
         for j, in_section in command.draws:
             if in_section < 0:  # RESAMPLE_IN_SECTION policy
                 draw = counter_draw(
-                    self.config.seed,
+                    config.seed,
                     command.target,
                     child_depth,
                     command.position,
@@ -274,21 +293,21 @@ class DieSampler:
             result.neighbors_sampled += 1
             result.children.append(
                 SamplingCommand(
-                    kind=self._child_kind(child_depth),
+                    kind=child_kind,
                     address=section.neighbor_addrs[in_section],
                     target=command.target,
                     hop=child_depth,
+                    # the draw list comes with the command: position
+                    # through the checked rule, not the primary's first + j
                     position=child_position(
-                        fanouts, command.position, child_depth, j
+                        config.fanouts, command.position, child_depth, j
                     ),
                 )
             )
         return result
 
     def _child_kind(self, child_depth: int) -> CommandKind:
-        if child_depth >= self.config.num_hops:
-            return CommandKind.FETCH_FEATURE
-        return CommandKind.SAMPLE_PRIMARY
+        return _FETCH if child_depth >= self.config.num_hops else _PRIMARY
 
 
 # -- functional whole-task execution ------------------------------------------

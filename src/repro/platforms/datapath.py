@@ -55,6 +55,8 @@ from .result import pack_trace
 __all__ = ["PrepCommand", "DataPrepEngine"]
 
 NODE_ID_BYTES = 4
+_SECONDARY = CommandKind.SAMPLE_SECONDARY
+_FETCH = CommandKind.FETCH_FEATURE
 
 
 @dataclass(slots=True)
@@ -82,59 +84,65 @@ class _BatchCtx:
 class _DieWork:
     """The die executor: what a die does after its page read.
 
-    It holds what that step reads, not the engine: the engine owns the
-    device the executor is wired into, so a bound method of the engine
-    would make every finished run one reference cycle.
+    It holds what that step reads, as plain flags and floats, not the
+    engine: the engine owns the device the executor is wired into, so a
+    bound method of the engine would make every finished run one
+    reference cycle.
     """
 
-    __slots__ = ("ssd_config", "platform", "image", "sampler", "meters", "feature_bytes")
+    __slots__ = (
+        "image",
+        "sampler",
+        "meters",
+        "page_size",
+        "die_sampling",
+        "feature_in_primary",
+        "section_scan_s",
+        "per_neighbor_s",
+        "vector_bytes",
+    )
 
     def __init__(self, engine: "DataPrepEngine") -> None:
-        self.ssd_config = engine.ssd_config
-        self.platform = engine.platform
         self.image = engine.image
         self.sampler = engine.sampler
         self.meters = engine.meters
-        self.feature_bytes = engine.image.spec.feature_bytes
+        self.page_size = engine.ssd_config.flash.page_size
+        self.die_sampling = engine.platform.die_sampling
+        self.feature_in_primary = engine.platform.feature_in_primary
+        self.section_scan_s = engine.ssd_config.die_sampler.section_scan_s
+        self.per_neighbor_s = engine.ssd_config.die_sampler.per_neighbor_s
+        self.vector_bytes = RESULT_HEADER_BYTES + engine.image.spec.feature_bytes
 
     def execute(self, job: FlashJob) -> DieExecution:
         """Called by the die model when a page read finishes."""
         cmd: Optional[PrepCommand] = job.payload
-        cfg = self.ssd_config
-        page_size = cfg.flash.page_size
         if cmd is None:
             # a regular (non-GNN) page read sharing the backend
-            return DieExecution(0.0, page_size, None)
+            return DieExecution(0.0, self.page_size, None)
         if cmd.sampling is None:
-            if cmd.payload_kind == "feature" and self.platform.die_sampling:
+            if cmd.payload_kind == "feature" and self.die_sampling:
                 # on-die vector retriever returns only the vector
-                extra = cfg.die_sampler.section_scan_s
-                payload = RESULT_HEADER_BYTES + self.feature_bytes
                 self.meters.add("die_feature_extracts")
-            else:
-                # raw page read (feature-table page or full-list structure
-                # page for host-side sampling)
-                extra = 0.0
-                payload = page_size
-            return DieExecution(extra, payload, None)
+                return DieExecution(self.section_scan_s, self.vector_bytes, None)
+            # raw page read (feature-table page or full-list structure
+            # page for host-side sampling)
+            return DieExecution(0.0, self.page_size, None)
 
         result = self.sampler.execute(
             self.image.page_bytes(cmd.page_index), cmd.sampling
         )
-        if self.platform.die_sampling:
-            extra = (
-                cfg.die_sampler.section_scan_s * result.sections_scanned
-                + cfg.die_sampler.per_neighbor_s * result.neighbors_sampled
-            )
-            payload = result.payload_bytes()
-            if not self.platform.feature_in_primary and result.feature_bytes:
-                # without DirectGraph the structure pages hold no features:
-                # the die returns sampled ids/commands only
-                payload -= len(result.feature_bytes)
-            self.meters.add("die_sample_neighbors", result.neighbors_sampled)
-        else:
-            extra = 0.0
-            payload = page_size
+        if not self.die_sampling:
+            return DieExecution(0.0, self.page_size, result)
+        extra = (
+            self.section_scan_s * result.sections_scanned
+            + self.per_neighbor_s * result.neighbors_sampled
+        )
+        payload = result.payload_bytes()
+        if not self.feature_in_primary and result.feature_bytes:
+            # without DirectGraph the structure pages hold no features:
+            # the die returns sampled ids/commands only
+            payload -= len(result.feature_bytes)
+        self.meters.add("die_sample_neighbors", result.neighbors_sampled)
         return DieExecution(extra, payload, result)
 
 
@@ -174,6 +182,20 @@ class DataPrepEngine:
         self.sample_traces: Optional[List] = [] if trace_samples else None
         self._trace: Optional[List[List[int]]] = None
         self.meters = Meter()
+        # per-command reads of the platform, taken once
+        self._die_sampling = platform.die_sampling
+        self._router_parse = platform.die_sampling and platform.hw_router
+        self._host_sampling = platform.sampling_site == SamplingSite.HOST
+        self._feature_in_primary = platform.feature_in_primary
+        self._feature_step = task.num_hops + 1
+        self._hop_barrier = platform.hop_barrier
+        # who issues follow-up commands when hops stream (no barrier)
+        if platform.gpu_direct:
+            self._streaming_issuer = "gpu"
+        elif self._router_parse:
+            self._streaming_issuer = "router"
+        else:
+            self._streaming_issuer = "firmware"
         self.device = SsdDevice(sim, ssd_config, _DieWork(self).execute)
         # only router platforms parse results in per-channel hardware
         self.channel_parsers = (
@@ -181,7 +203,7 @@ class DataPrepEngine:
                 Resource(sim, capacity=1, name=f"parser{c}")
                 for c in range(ssd_config.flash.num_channels)
             ]
-            if platform.die_sampling and platform.hw_router
+            if self._router_parse
             else []
         )
         self.stage_agg = StageAggregator()
@@ -268,15 +290,6 @@ class DataPrepEngine:
         if ctx.outstanding == 0 and ctx.done is not None and not ctx.done.triggered:
             ctx.done.succeed()
 
-    def _streaming_issuer(self) -> str:
-        """Who issues follow-up commands when hops stream (no barrier)."""
-        platform = self.platform
-        if platform.gpu_direct:
-            return "gpu"
-        if platform.die_sampling and platform.hw_router:
-            return "router"
-        return "firmware"
-
     def _run_cache_hit(self, cmd: PrepCommand, timeline: HopTimeline, ctx: _BatchCtx):
         """Serve one command from the host-side page cache.
 
@@ -297,7 +310,7 @@ class DataPrepEngine:
             )
         children = self._children_of(cmd, result)
         self._finish(cmd, timeline)
-        self._dispatch_children(children, self._streaming_issuer(), ctx)
+        self._dispatch_children(children, self._streaming_issuer, ctx)
 
     def _run_device_command(
         self, cmd: PrepCommand, issued_by: str, timeline: HopTimeline, ctx: _BatchCtx
@@ -353,7 +366,7 @@ class DataPrepEngine:
 
         # -- completion path ------------------------------------------------------
         children = self._children_of(cmd, result)
-        if platform.die_sampling and platform.hw_router:
+        if self._router_parse:
             # channel-level parser extracts results in hardware
             channel, _die = self.ssd_config.flash.locate(cmd.page_index)
             parser = self.channel_parsers[channel]
@@ -367,7 +380,7 @@ class DataPrepEngine:
             # path of child dispatch but gates batch completion
             yield device.dram.transfer(payload_bytes)
             self.meters.add("dram_bytes", payload_bytes)
-        elif platform.die_sampling:
+        elif self._die_sampling:
             # firmware parses the small result and schedules children
             yield from device.firmware_work(fw.completion_s + fw.parse_result_s)
             self._finish(cmd, timeline)
@@ -408,7 +421,7 @@ class DataPrepEngine:
                 yield device.pcie.transfer(pcie_bytes)
                 self.meters.add("pcie_bytes", pcie_bytes)
             if (
-                platform.sampling_site == SamplingSite.HOST
+                self._host_sampling
                 and result is not None
                 and result.neighbors_sampled
             ):
@@ -425,7 +438,7 @@ class DataPrepEngine:
                 # samples it — no serialized host resource to contend on
                 yield from self._gpu_sample(result.neighbors_sampled)
             self._finish(cmd, timeline)
-            self._dispatch_children(children, self._streaming_issuer(), ctx)
+            self._dispatch_children(children, self._streaming_issuer, ctx)
 
     def _gpu_sample(self, neighbors: int):
         """Charge GPU-thread sampling of one landed page's neighbors."""
@@ -442,7 +455,7 @@ class DataPrepEngine:
     def _dispatch_children(
         self, children: List[PrepCommand], issuer: str, ctx: _BatchCtx
     ) -> None:
-        if self.platform.hop_barrier:
+        if self._hop_barrier:
             # hop-by-hop: sampling continues next round; feature fetches
             # form the final "k-th hop feature retrieval" step (Figure 16)
             for child in children:
@@ -541,22 +554,23 @@ class DataPrepEngine:
         children: List[PrepCommand] = []
         if cmd.sampling is None or result is None:
             return children
-        feature_step = self.task.num_hops + 1
+        image = self.image
+        trace = self._trace
+        feature_step = self._feature_step
+        feature_in_primary = self._feature_in_primary
         secondary_pages_read = set()
         for sub in result.children:
-            if self._trace is not None and sub.kind != CommandKind.SAMPLE_SECONDARY:
+            kind = sub.kind
+            if trace is not None and kind != _SECONDARY:
                 # every sampled tree position (depth >= 1) appears exactly
                 # once as a SAMPLE_PRIMARY / FETCH_FEATURE child across all
                 # results — secondary reads re-emit the same hop's overflow
                 # draws and are resolved by their own children
                 self._trace_sample(
-                    sub.target, sub.position, self.image.node_at(sub.address), sub.hop
+                    sub.target, sub.position, image.node_at(sub.address), sub.hop
                 )
-            if (
-                sub.kind == CommandKind.FETCH_FEATURE
-                and not self.platform.feature_in_primary
-            ):
-                node = self.image.node_at(sub.address)
+            if kind == _FETCH and not feature_in_primary:
+                node = image.node_at(sub.address)
                 children.append(
                     PrepCommand(
                         record=StageRecord(
@@ -570,10 +584,13 @@ class DataPrepEngine:
                     )
                 )
             else:
-                step = sub.hop + 1 if sub.kind != CommandKind.FETCH_FEATURE else feature_step
-                if sub.kind == CommandKind.SAMPLE_SECONDARY:
+                if kind == _SECONDARY:
                     step = cmd.step  # same node's overflow read
                     secondary_pages_read.add(sub.address.page)
+                elif kind == _FETCH:
+                    step = feature_step
+                else:
+                    step = sub.hop + 1
                 children.append(
                     PrepCommand(
                         record=StageRecord(
@@ -586,12 +603,12 @@ class DataPrepEngine:
                     )
                 )
         if cmd.sampling.kind == CommandKind.SAMPLE_PRIMARY:
-            node = self.image.node_at(cmd.sampling.address)
-            if self.platform.sampling_site == SamplingSite.HOST:
+            node = image.node_at(cmd.sampling.address)
+            if self._host_sampling:
                 # Host-side sampling needs the node's *entire* neighbor
                 # list: every secondary page is read and shipped — the
                 # "transfer of full neighbor lists" SmartSage eliminates.
-                for addr in self.image.secondary_addrs(node):
+                for addr in image.secondary_addrs(node):
                     if addr.page in secondary_pages_read:
                         continue
                     secondary_pages_read.add(addr.page)
@@ -608,7 +625,7 @@ class DataPrepEngine:
                         )
                     )
                     self.meters.add("full_list_reads")
-            if not self.platform.feature_in_primary:
+            if not feature_in_primary:
                 # without DirectGraph, the node's own feature vector is a
                 # separate feature-table read (DirectGraph co-locates it)
                 children.append(
@@ -689,7 +706,7 @@ class DataPrepEngine:
         no host translation round between them."""
         ctx = _BatchCtx(done=self.sim.event())
         yield from self._minibatch_kickoff(targets)
-        issuer = self._streaming_issuer()  # who seeds the root commands
+        issuer = self._streaming_issuer  # who seeds the root commands
         roots = [self._make_root(t) for t in dict.fromkeys(targets)]
         if not roots:
             # ctx.done only fires when an outstanding command drains;
@@ -706,10 +723,7 @@ class DataPrepEngine:
         # Host-side sampling issues each read as its own block request;
         # offloaded sampling (SmartSage/BG-1/BG-SP) batches one customized
         # NVMe command per hop, so per-read host costs disappear.
-        if self.platform.sampling_site == SamplingSite.HOST:
-            issuer = "host"
-        else:
-            issuer = "hop_batch"
+        issuer = "host" if self._host_sampling else "hop_batch"
         current = [self._make_root(t) for t in dict.fromkeys(targets)]
         deferred_features: List[PrepCommand] = []
         final_round = False
@@ -738,7 +752,7 @@ class DataPrepEngine:
                     continue
                 break
             # results (sampled ids) return to the host ...
-            if self.platform.sampling_site != SamplingSite.HOST:
+            if not self._host_sampling:
                 nbytes = len(children) * 2 * NODE_ID_BYTES
                 yield self.device.pcie.transfer(nbytes)
                 self.meters.add("pcie_bytes", nbytes)

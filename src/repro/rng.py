@@ -4,7 +4,10 @@ Both the reference GraphSage sampler (``repro.gnn.sampling``) and the
 on-die TRNG model (``repro.isc.trng``) key their draws with this one
 function, which is what makes out-of-order in-storage sampling provably
 equivalent to the in-order reference: a draw depends only on
-``(seed, *keys)``, never on execution order. Procedural feature tables
+``(seed, *keys)``, never on execution order. :func:`counter_fold` is
+the one step that folds a key into a counter state; a caller drawing
+many keys under one prefix (the die sampler, once per command) folds the
+prefix once and each key onto it. Procedural feature tables
 (``repro.gnn.features``) read the same mixer as a stream, vectorized by
 :func:`splitmix64_array`.
 """
@@ -18,6 +21,7 @@ __all__ = [
     "splitmix64",
     "splitmix64_array",
     "counter_draw",
+    "counter_fold",
     "stream_seed",
 ]
 
@@ -62,12 +66,20 @@ def splitmix64_array(x: np.ndarray) -> np.ndarray:
     return z
 
 
-def counter_draw(seed: int, *keys: int) -> int:
-    """A uniform 64-bit draw determined purely by ``(seed, *keys)``."""
-    state = splitmix64(int(seed) & _MASK64)
+def counter_fold(state: int, *keys: int) -> int:
+    """Fold ``keys`` into a counter state, one SplitMix64 round per key.
+
+    ``counter_draw(seed, *a, *b) == counter_fold(counter_draw(seed, *a),
+    *b)`` bit for bit.
+    """
     for key in keys:
         state = splitmix64(state ^ (int(key) & _MASK64))
     return state
+
+
+def counter_draw(seed: int, *keys: int) -> int:
+    """A uniform 64-bit draw determined purely by ``(seed, *keys)``."""
+    return counter_fold(splitmix64(int(seed) & _MASK64), *keys)
 
 
 def stream_seed(seed: int, *keys: int) -> int:

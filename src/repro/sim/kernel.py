@@ -191,7 +191,11 @@ class Timeout(Event):
 
 
 def _start_process(proc: "Process") -> None:
-    """Fast-lane entry that kicks a freshly created process."""
+    """Fast-lane entry that kicks a freshly created process.
+
+    The delivery loop recognises this function in a ``(proc, fn)`` pair
+    and runs its body inline, as it does for a single waiter's resume.
+    """
     proc._resume(None, None)
 
 
@@ -560,6 +564,7 @@ class Simulator:
         t_timeout = Timeout
         t_event = Event
         t_process = Process
+        start_process = _start_process
         _len = len
         _isinstance = isinstance
         delivered = 0
@@ -591,7 +596,29 @@ class Simulator:
                             # frees the pair before the call, keeping the
                             # recycle refcount check below calibrated.
                             event, fn = event
-                            if event is None:
+                            if fn is start_process:
+                                # inlined Process._resume(None, None): the
+                                # first send of a fresh process, with the
+                                # same StopIteration and error handling
+                                try:
+                                    target = event._gen.send(None)
+                                except StopIteration as stop:
+                                    event.succeed(stop.value)
+                                except BaseException as err:
+                                    if _isinstance(
+                                        err, (KeyboardInterrupt, SystemExit)
+                                    ):
+                                        raise
+                                    event.fail(err)
+                                else:
+                                    if (
+                                        _isinstance(target, t_event)
+                                        and not target._processed
+                                    ):
+                                        target.callbacks.append(event)
+                                    else:
+                                        event._wait_on(target)
+                            elif event is None:
                                 fn()
                             else:
                                 fn(event)

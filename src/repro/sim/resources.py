@@ -51,10 +51,11 @@ class Resource:
 
     def acquire(self) -> Event:
         """Event that fires once a slot is granted to the caller."""
-        ev = self.sim.event()
+        sim = self.sim
+        ev = sim.event()
         if self._in_use < self.capacity:
             self._in_use += 1
-            self._note_usage()
+            self.tracker.set_busy(sim.now)  # _note_usage with a slot in use
             ev.succeed(self)
         else:
             self._waiting.append(ev)
@@ -130,13 +131,20 @@ class BandwidthPipe:
         """Queue a transfer of ``nbytes``; event fires when it completes."""
         if nbytes < 0:
             raise ValueError("nbytes must be >= 0")
-        start = self.busy_until()
-        end = start + self.transfer_time(nbytes)
+        # busy_until, transfer_time and tracker.add_interval, inlined
+        sim = self.sim
+        now = sim.now
+        start = self._available_at
+        if now > start:
+            start = now
+        end = start + (self.per_transfer_overhead + nbytes / self.bytes_per_sec)
+        if end < start:
+            raise ValueError("interval ends before it starts")
         self._available_at = end
         self.bytes_moved += nbytes
         self.transfer_count += 1
-        self.tracker.add_interval(start, end)
-        return self.sim.timeout(end - self.sim.now, value=end)
+        self.tracker.intervals.append((start, end))
+        return sim.timeout(end - now, value=end)
 
 
 class Store:

@@ -72,6 +72,7 @@ class FlashDieModel:
         self.channel_pipe = channel_pipe
         self.executor = executor
         self.name = name
+        self._process_name = f"die:{name}"
         senses = config.planes_per_die if config.exploit_planes else 1
         self._sense = Resource(sim, capacity=senses, name=f"{name}.sense")
         # the shared sampler/output engine and the data register exist
@@ -102,7 +103,7 @@ class FlashDieModel:
         if job.done is None:
             job.done = self.sim.event()
         job.record.issued = job.record.issued or self.sim.now
-        self.sim.process(self._serve(job), name=f"die:{self.name}")
+        self.sim.process(self._serve(job), name=self._process_name)
         return job.done
 
     def _serve(self, job: FlashJob):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from repro.directgraph import (
     PAGE_TYPE_PRIMARY,
     SECTION_TYPE_PRIMARY,
+    SECTION_TYPE_SECONDARY,
     DirectGraphFormatError,
     FormatSpec,
     SectionAddress,
@@ -118,4 +119,46 @@ class TestSectionBounds:
         with pytest.raises(SamplerFault):
             DieSampler(SPEC, config).execute(
                 self.page_with_overhanging_section(), command
+            )
+
+    # Headers that start inside the 512 B page and end past it: the
+    # primary header is 16 B, the secondary 12 B.
+    CUT_HEADERS = [
+        (SECTION_TYPE_PRIMARY, 500),
+        (SECTION_TYPE_PRIMARY, 510),
+        (SECTION_TYPE_SECONDARY, 506),
+        (SECTION_TYPE_SECONDARY, 510),
+    ]
+
+    def page_with_cut_header(self, stype, offset):
+        raw = bytearray(SPEC.page_size)
+        raw[0] = PAGE_TYPE_PRIMARY
+        raw[1] = 1
+        raw[2:4] = offset.to_bytes(2, "little")
+        raw[offset] = stype
+        return bytes(raw)
+
+    @pytest.mark.parametrize("stype, offset", CUT_HEADERS)
+    def test_header_cut_by_page_end_rejected(self, stype, offset):
+        raw = self.page_with_cut_header(stype, offset)
+        with pytest.raises(DirectGraphFormatError):
+            decode_section(SPEC, raw, 0)
+        with pytest.raises(DirectGraphFormatError):
+            decode_page(SPEC, raw)
+
+    @pytest.mark.parametrize("stype, offset", CUT_HEADERS)
+    def test_sampler_faults_on_header_cut_by_page_end(self, stype, offset):
+        config = GnnTaskConfig(num_hops=1, fanout=2, feature_dim=4, seed=0)
+        secondary = stype == SECTION_TYPE_SECONDARY
+        command = SamplingCommand(
+            kind=CommandKind.SAMPLE_SECONDARY if secondary else CommandKind.SAMPLE_PRIMARY,
+            address=SectionAddress(page=0, section=0),
+            target=7,
+            hop=0,
+            position=0,
+            draws=((0, 0),) if secondary else (),
+        )
+        with pytest.raises(SamplerFault):
+            DieSampler(SPEC, config).execute(
+                self.page_with_cut_header(stype, offset), command
             )

@@ -1,6 +1,7 @@
 """Tests for the content-addressed DirectGraph image cache."""
 
 import io
+import tracemalloc
 import zipfile
 
 import numpy as np
@@ -14,6 +15,7 @@ from repro.directgraph import (
     build_directgraph,
     default_image_cache_dir,
 )
+from repro.directgraph.builder import IMAGE_ARRAYS
 from repro.directgraph.imagecache import COUNTERS
 from repro.platforms import PreparedWorkload
 from repro.workloads import workload_by_name
@@ -92,6 +94,69 @@ class TestRoundtrip:
         image = build_directgraph(graph, None, fmt_for(spec), serialize=False)
         with pytest.raises(ValueError, match="serialized"):
             cache.put("somekey", graph, image)
+
+
+class TestStreamedLoad:
+    """``get`` reads ``pages_blob`` a chunk at a time, as ``put`` wrote it."""
+
+    @pytest.fixture()
+    def stored(self, cache):
+        # several MB of pages: more than one chunk, and enough that holding
+        # the blob beside its pages would show in the traced peak
+        spec = workload_by_name("reddit").scaled(2048)
+        prepared = prepare(spec)
+        key = "streamed"
+        cache.put(key, prepared.graph, prepared.image)
+        return key, prepared
+
+    def test_entry_equals_fresh_build(self, cache, stored):
+        key, prepared = stored
+        entry = cache.get(key)
+        assert entry is not None
+        fresh = prepared.image
+        assert entry.image.pages == fresh.pages
+        for name in IMAGE_ARRAYS:
+            got, want = getattr(entry.image, name), getattr(fresh, name)
+            assert got.dtype == want.dtype, name
+            np.testing.assert_array_equal(got, want, err_msg=name)
+        np.testing.assert_array_equal(entry.graph.indices, prepared.graph.indices)
+
+    @pytest.mark.parametrize("cut", [-1, -4096, 1])
+    def test_pages_member_of_wrong_length_is_a_miss(self, cache, stored, cut):
+        """A member cut short (or running long) under its own header."""
+        key, _prepared = stored
+        path = cache.path_for(key)
+        with zipfile.ZipFile(path) as archive:
+            members = {name: archive.read(name) for name in archive.namelist()}
+        blob = members["pages_blob.npy"]
+        members["pages_blob.npy"] = blob[:cut] if cut < 0 else blob + b"\0" * cut
+        with zipfile.ZipFile(path, "w") as archive:
+            for name, data in members.items():
+                archive.writestr(name, data)
+        cache.counters.reset()
+        assert cache.get(key) is None
+        assert cache.counters.misses == 1
+
+    def test_truncated_file_is_a_miss(self, cache, stored):
+        key, _prepared = stored
+        path = cache.path_for(key)
+        raw = path.read_bytes()
+        path.write_bytes(raw[: len(raw) // 2])
+        assert cache.get(key) is None
+
+    def test_peak_holds_one_chunk_beside_the_pages(self, cache, stored):
+        key, prepared = stored
+        pages_bytes = prepared.image.num_pages * prepared.image.spec.page_size
+        assert pages_bytes > 4 << 20
+        tracemalloc.start()
+        try:
+            entry = cache.get(key)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert entry is not None
+        assert kept > pages_bytes
+        assert peak < kept + (2 << 20)
 
 
 class TestKeys:

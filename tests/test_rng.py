@@ -1,11 +1,12 @@
-"""The vectorized SplitMix64 against the scalar one it stands beside."""
+"""The vectorized SplitMix64 against the scalar one it stands beside, and
+the counter fold against the keyed draws it splits."""
 
 import warnings
 
 import numpy as np
 import pytest
 
-from repro.rng import splitmix64, splitmix64_array
+from repro.rng import counter_draw, counter_fold, splitmix64, splitmix64_array
 
 EDGES = [0, 1, 2**63, 2**64 - 1]
 
@@ -43,3 +44,15 @@ def test_shape_is_kept(shape):
     out = splitmix64_array(xs)
     assert out.shape == shape
     assert out.ravel().tolist() == [splitmix64(int(x)) for x in xs.ravel()]
+
+
+@pytest.mark.parametrize("keys", [(), (5,), (5, 2, 31), (2**64 - 1, -3, 2**70)])
+@pytest.mark.parametrize("j", [0, 1, 2, 7])
+def test_folded_prefix_draws_equal_keyed_draws(keys, j):
+    """A prefix folded once, then one key per draw: what the die sampler
+    does per command, bit for bit ``counter_draw`` of the whole key."""
+    state = counter_draw(11, *keys)
+    assert counter_fold(state, j) == counter_draw(11, *keys, j)
+    assert splitmix64(state ^ j) == counter_draw(11, *keys, j)
+    assert counter_fold(state, j, 0x5EC0) == counter_draw(11, *keys, j, 0x5EC0)
+    assert counter_fold(state) == state
