@@ -225,7 +225,8 @@ class PageCache:
             )
         self.capacity_pages = int(capacity_pages)
         self.policy = policy
-        self.hit_latency_s = hit_latency_s
+        # a float once here: every cache hit waits it out as a float
+        self.hit_latency_s = float(hit_latency_s)
         self.hits = 0
         self.misses = 0
         self.evictions = 0

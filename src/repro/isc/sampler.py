@@ -273,6 +273,16 @@ class DieSampler:
         )
         config = self.config
         child_depth = command.hop + 1
+        if not 1 <= child_depth <= config.num_hops:
+            raise SamplerFault(
+                f"secondary command at hop {command.hop} has no child depth "
+                f"in a {config.num_hops}-hop task"
+            )
+        for j, _ in command.draws:
+            if not 0 <= j < config.fanout:
+                raise SamplerFault(
+                    f"sample index {j} out of fanout {config.fanout}"
+                )
         child_kind = self._child_kind(child_depth)
         for j, in_section in command.draws:
             if in_section < 0:  # RESAMPLE_IN_SECTION policy

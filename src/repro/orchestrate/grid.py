@@ -182,6 +182,8 @@ def _backfill_image(
     A memo hit skips ``PreparedWorkload.prepare`` entirely, so without
     this an image prepared before the disk cache came into play would
     never reach it — and spawn workers / later processes would rebuild.
+    :func:`run_grid` calls it once per distinct workload, as it
+    pre-warms the memo, not once per cell.
     """
     if prepared.image.pages is None:
         return
@@ -214,12 +216,16 @@ def _prepared_for(
     image_cache_root: Optional[str] = None,
     layout: str = DEFAULT_LAYOUT,
 ) -> PreparedWorkload:
+    """The memoized prepared workload; a miss prepares it.
+
+    ``image_cache_root`` serves a miss only: the image is loaded from
+    (or, when built, stored to) that disk cache, which is how a spawn
+    worker gets the image its parent prepared.
+    """
     key = (spec, page_size, layout)
     prepared = _PREPARED_MEMO.get(key)
     if prepared is not None:
         _PREPARED_MEMO.move_to_end(key)
-        if image_cache_root is not None:
-            _backfill_image(prepared, page_size, image_cache_root)
         return prepared
     prepared = PreparedWorkload.prepare(
         spec, page_size=page_size, image_cache=image_cache_root, layout=layout
@@ -356,16 +362,21 @@ def run_grid(
         icache = _resolve_image_cache(image_cache, cache)
         icache_root = str(icache.root) if icache is not None else None
         # Pre-warm each distinct prepared image once in this process:
-        # fork workers inherit the memo, and the disk cache (when set)
-        # covers spawn workers and future runs.
+        # fork workers inherit the memo, and the disk cache (when set; a
+        # memoized image is back-filled into it here) covers spawn
+        # workers and future runs.
         seen: set = set()
         for i in pending:
             cell = cells[i]
             spec = cell.resolved_workload()
             page_size = cell.resolved_config().flash.page_size
-            if (spec, page_size, cell.layout) not in seen:
-                seen.add((spec, page_size, cell.layout))
-                _prepared_for(spec, page_size, icache_root, cell.layout)
+            memo_key = (spec, page_size, cell.layout)
+            if memo_key not in seen:
+                seen.add(memo_key)
+                memoized = memo_key in _PREPARED_MEMO
+                prepared = _prepared_for(spec, page_size, icache_root, cell.layout)
+                if memoized and icache_root is not None:
+                    _backfill_image(prepared, page_size, icache_root)
 
         jobs_args = [(cells[i], seeds[i], icache_root) for i in pending]
         for payload in grid_executor.run(jobs_args, jobs=jobs):

@@ -31,7 +31,7 @@ __all__ = ["KernelCounters", "KernelProbe"]
 class KernelCounters:
     """What one probed simulator did while the probe was attached."""
 
-    timeouts: int = 0  # timeout() calls
+    timeouts: int = 0  # timeout() calls; a float wait shows in ops only
     timeouts_recycled: int = 0  # timeout() calls served from the pool
     call_soons: int = 0  # direct-callable zero-delay entries
     processes: int = 0  # process() starts

@@ -102,7 +102,7 @@ class BackgroundIoInjector:
         rng = self._rng
         while not self._stopped:
             gap = float(rng.exponential(1.0 / self.config.rate_per_s))
-            yield self.sim.timeout(gap)
+            yield gap
             if self._stopped:
                 return
             self.sim.process(self._serve(self.sim.now))

@@ -87,4 +87,5 @@ class ComputeEngine:
             nbytes = self.batch_feature_bytes(batch_size)
             yield self.device.pcie.transfer(nbytes)
             self.meters.add("pcie_bytes", nbytes)
-        yield self.sim.timeout(plan.seconds)
+        # an empty plan sums to the int 0, and a wait is a float
+        yield float(plan.seconds)

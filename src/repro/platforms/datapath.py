@@ -301,7 +301,7 @@ class DataPrepEngine:
         """
         sim = self.sim
         cmd.record.flash_start = sim.now
-        yield sim.timeout(self.page_cache.hit_latency_s)
+        yield self.page_cache.hit_latency_s
         cmd.record.flash_end = cmd.record.transfer_end = sim.now
         result: Optional[SampleResult] = None
         if cmd.sampling is not None:
@@ -341,14 +341,14 @@ class DataPrepEngine:
             )
         elif issued_by == "router":
             self.meters.add("router_commands")
-            yield sim.timeout(self.ssd_config.hw_router.crossbar_s)
+            yield self.ssd_config.hw_router.crossbar_s
         elif issued_by == "gpu":
             # a GPU thread builds the NVMe command in device-mapped queues
             # and rings the doorbell with one posted MMIO write — no host
             # software stack, no translation round trip. The SSD still
             # processes a stock NVMe request: poller + FTL + scheduler.
             self.meters.add("gpu_requests")
-            yield sim.timeout(self.ssd_config.gpu.doorbell_s)
+            yield self.ssd_config.gpu.doorbell_s
             yield from device.firmware_work(
                 fw.io_poller_s + fw.ftl_lookup_s + fw.schedule_s
             )
@@ -371,7 +371,7 @@ class DataPrepEngine:
             channel, _die = self.ssd_config.flash.locate(cmd.page_index)
             parser = self.channel_parsers[channel]
             yield parser.acquire()
-            yield sim.timeout(self.ssd_config.hw_router.parse_s)
+            yield self.ssd_config.hw_router.parse_s
             parser.release()
             self.meters.add("router_parses")
             self._finish(cmd, timeline)
@@ -442,9 +442,7 @@ class DataPrepEngine:
 
     def _gpu_sample(self, neighbors: int):
         """Charge GPU-thread sampling of one landed page's neighbors."""
-        yield self.sim.timeout(
-            self.ssd_config.gpu.sample_per_neighbor_s * neighbors
-        )
+        yield self.ssd_config.gpu.sample_per_neighbor_s * neighbors
         self.meters.add("gpu_sample_neighbors", neighbors)
 
     def _finish(self, cmd: PrepCommand, timeline: HopTimeline) -> None:
@@ -758,7 +756,7 @@ class DataPrepEngine:
                 self.meters.add("pcie_bytes", nbytes)
             # ... the host translates node indices to LPAs ...
             translate = len(children) * host.translate_per_node_s
-            yield self.sim.timeout(translate / host.num_threads)
+            yield translate / host.num_threads
             self.meters.add("host_busy_s", translate)
             self.meters.add("host_translate_nodes", len(children))
             # ... and the next hop's requests come back over PCIe

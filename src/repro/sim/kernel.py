@@ -3,10 +3,16 @@
 A minimal process-based discrete-event simulator in the style of SimPy,
 purpose-built for the BeaconGNN SSD model. Time is a float in *seconds*.
 
-Processes are Python generators that ``yield`` :class:`Event` objects; the
-kernel resumes a process when the event it waits on fires. Events carry a
-value (delivered as the result of the ``yield``) or an exception (raised
-inside the process at the ``yield``).
+Processes are Python generators that ``yield`` an :class:`Event` or a
+``float``. The kernel resumes a process when the event it waits on fires;
+events carry a value (delivered as the result of the ``yield``) or an
+exception (raised inside the process at the ``yield``). A float is a wait
+of that many seconds (``yield 2e-6``): it resumes the process with
+``None`` at ``now + delay``, in exactly the place a ``sim.timeout`` made
+just before the yield would have taken, without building one. A negative
+or NaN delay raises ``ValueError`` inside the process at the ``yield``.
+``sim.timeout`` stays for a wait that is composed (``AllOf``/``AnyOf``),
+carries a value, or is handed to another process.
 
 Scheduling internals (the hot path)
 -----------------------------------
@@ -15,12 +21,12 @@ exactly the order a single global sequence-numbered heap would produce.
 Internally there are two lanes:
 
 * **fast lane** — a FIFO ``deque`` for work due *now* (event triggers,
-  ``_call_soon`` callbacks, process starts, and positive delays too
-  small to move the float clock). These always fire at the current
-  simulation time, so FIFO order *is* creation order and the ``heapq``
-  sift cost is skipped entirely. This is the majority of all scheduling
-  in real simulations.
-* **heap** — future timeouts, ordered by ``(time, seq)``.
+  ``_call_soon`` callbacks, process starts, zero waits, and positive
+  delays too small to move the float clock). These always fire at the
+  current simulation time, so FIFO order *is* creation order and the
+  ``heapq`` sift cost is skipped entirely. This is the majority of all
+  scheduling in real simulations.
+* **heap** — future timeouts and float waits, ordered by ``(time, seq)``.
 
 Whenever the heap's head lands on the current timestamp, the run loop
 drains it before touching the fast lane: any heap entry at ``now`` was
@@ -37,11 +43,13 @@ exactly the order one ``run()`` call would — the batched grid executor
 (:mod:`repro.orchestrate.batched`) relies on this to host many live
 kernels in one process.
 
-Two further allocation savers, both invisible to delivery order:
+Three further allocation savers, all invisible to delivery order:
 
 * fast-lane entries are the bare event (no entry tuple), and
   ``_call_soon`` entries carry the bare callable — no throwaway
   ``Event`` per callback;
+* a float wait is a ``(proc, _start_process)`` entry, fast lane or
+  heap — no ``Timeout``, callback list or recycle per wait;
 * delivered ``Timeout``/``Event``/``Process`` objects are recycled
   through small per-simulator pools when (and only when) the kernel
   holds the final reference, so steady-state event churn allocates
@@ -54,7 +62,7 @@ Example
 >>> sim = Simulator()
 >>> log = []
 >>> def worker(sim):
-...     yield sim.timeout(1.0)
+...     yield 1.0
 ...     log.append(sim.now)
 >>> _ = sim.process(worker(sim))
 >>> sim.run()
@@ -191,10 +199,13 @@ class Timeout(Event):
 
 
 def _start_process(proc: "Process") -> None:
-    """Fast-lane entry that kicks a freshly created process.
+    """Entry that sends ``None`` into a process: its start or a float wait.
 
-    The delivery loop recognises this function in a ``(proc, fn)`` pair
-    and runs its body inline, as it does for a single waiter's resume.
+    A fresh process is a fast-lane ``(proc, _start_process)`` pair; a
+    process that yields a delay gets the same pair (no clock move) or a
+    ``(at, seq, proc, _start_process)`` heap entry. The delivery loop
+    recognises this function by identity and resumes the process inline,
+    as it does for a single waiter's resume.
     """
     proc._resume(None, None)
 
@@ -230,27 +241,44 @@ class Process(Event):
         self._wait_on(target)
 
     def _wait_on(self, target: Any) -> None:
-        """Register this process on the event it just yielded.
+        """Register this process on the event or delay it just yielded.
 
         The process object *itself* is the callback entry: the delivery
         loop recognises it by type and resumes the generator inline (no
         Python frame per resume), while every other path goes through
-        :meth:`__call__` below.
+        :meth:`__call__` below. This is the slow path; the delivery loop
+        schedules an exact ``float`` delay itself.
         """
-        if not isinstance(target, Event):
+        if isinstance(target, Event):
+            # inlined Event.add_callback
+            if target._processed:
+                self.sim._call_soon_with(self, target)
+            else:
+                target.callbacks.append(self)
+            return
+        if not isinstance(target, float):
             self._gen.close()
             self.fail(
                 SimulationError(
                     f"process {self.name!r} yielded {type(target).__name__}, "
-                    "expected an Event"
+                    "expected an Event or a float delay"
                 )
             )
             return
-        # inlined Event.add_callback
-        if target._processed:
-            self.sim._call_soon_with(self, target)
+        # a float subclass (numpy.float64) must not reach the clock
+        delay = float(target)
+        sim = self.sim
+        now = sim.now
+        at = now + delay
+        if at > now:
+            sim._seq = seq = sim._seq + 1
+            _heappush(sim._queue, (at, seq, self, _start_process))
+        elif at == now and delay >= 0.0:
+            sim._fast_append((self, _start_process))
         else:
-            target.callbacks.append(self)
+            self._resume(
+                None, ValueError(f"negative or NaN wait delay: {delay!r}")
+            )
 
     def _on_event(self, event: Event, _isinstance=isinstance, _Event=Event) -> None:
         # The per-resume hot path: _resume with the generator send inlined
@@ -385,8 +413,9 @@ class Simulator:
     Fast-lane entries are either a bare :class:`Event` (normal delivery —
     the dominant form, allocation-free) or an ``(event, fn)`` pair
     (``event`` ``None``: bare ``fn()`` call; otherwise ``fn(event)`` —
-    the deferred-callback form). Heap entries are ``(time, seq, event,
-    fn)`` tuples. Fast entries carry no sequence number because none is
+    the deferred-callback form; ``(proc, _start_process)`` resumes a
+    process with ``None``). Heap entries are ``(time, seq, event, fn)``
+    tuples. Fast entries carry no sequence number because none is
     needed: a heap entry landing on the *current* timestamp was pushed
     before time advanced here (positive delays only land in the future;
     zero or precision-collapsed delays go straight to the fast lane), so
@@ -456,7 +485,12 @@ class Simulator:
         return Event(self)
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """An event that fires ``delay`` seconds from now."""
+        """An event that fires ``delay`` seconds from now.
+
+        A process that only waits yields the delay itself (``yield
+        delay``); a timeout is for a wait that is composed, carries a
+        value or is handed to another process.
+        """
         pool = self._timeout_pool
         if pool:
             if delay < 0:
@@ -554,7 +588,9 @@ class Simulator:
         fast = self._fast
         queue = self._queue
         popleft = fast.popleft
+        fast_append = self._fast_append
         heappop = _heappop
+        heappush = _heappush
         timeout_pool = self._timeout_pool
         event_pool = self._event_pool
         process_pool = self._process_pool
@@ -567,6 +603,7 @@ class Simulator:
         start_process = _start_process
         _len = len
         _isinstance = isinstance
+        _float = float
         delivered = 0
         # Fast-lane entries carry no sequence number; they are tallied
         # here at delivery and flushed into ``_seq`` on every exit so the
@@ -581,12 +618,6 @@ class Simulator:
                         # every fast entry (see class docstring)
                         delivered += 1
                         _at, _seq, event, fn = heappop(queue)
-                        if fn is not None:
-                            if event is None:
-                                fn()
-                            else:
-                                fn(event)
-                            continue
                     else:
                         ops += 1
                         delivered += 1
@@ -596,33 +627,8 @@ class Simulator:
                             # frees the pair before the call, keeping the
                             # recycle refcount check below calibrated.
                             event, fn = event
-                            if fn is start_process:
-                                # inlined Process._resume(None, None): the
-                                # first send of a fresh process, with the
-                                # same StopIteration and error handling
-                                try:
-                                    target = event._gen.send(None)
-                                except StopIteration as stop:
-                                    event.succeed(stop.value)
-                                except BaseException as err:
-                                    if _isinstance(
-                                        err, (KeyboardInterrupt, SystemExit)
-                                    ):
-                                        raise
-                                    event.fail(err)
-                                else:
-                                    if (
-                                        _isinstance(target, t_event)
-                                        and not target._processed
-                                    ):
-                                        target.callbacks.append(event)
-                                    else:
-                                        event._wait_on(target)
-                            elif event is None:
-                                fn()
-                            else:
-                                fn(event)
-                            continue
+                        else:
+                            fn = None
                 elif queue:
                     if queue[0][0] > until:
                         break
@@ -631,103 +637,119 @@ class Simulator:
                     if at < now:
                         raise SimulationError("time went backwards")
                     self.now = now = at
-                    if fn is not None:
-                        if event is None:
-                            fn()
-                        else:
-                            fn(event)
-                        continue
                 else:
                     break
-                event._processed = True
-                callbacks = event.callbacks
-                if callbacks:
-                    # _processed is already set, so a callback registered
-                    # during delivery routes through _call_soon_with — the
-                    # list never grows under this loop and popping first is
-                    # safe. The single-callback case (the vast majority:
-                    # one process waiting on one event) skips iterator
-                    # setup entirely.
-                    if _len(callbacks) == 1:
-                        cb = callbacks.pop()
-                        if type(cb) is t_process:
-                            # inlined copy of Process._on_event: resuming
-                            # the waiting generator without pushing a
-                            # Python frame is the single biggest per-op
-                            # saving in the loop.
-                            exc = event._exc
-                            if exc is not None:
-                                cb._resume(None, exc)
-                            else:
-                                try:
-                                    target = cb._gen.send(event._value)
-                                except StopIteration as stop:
-                                    # drop the stale target binding from the
-                                    # previous resume — it is this very
-                                    # event, and a live local would block
-                                    # the recycle check below
-                                    target = None
-                                    cb.succeed(stop.value)
-                                except BaseException as err:
-                                    if _isinstance(
-                                        err, (KeyboardInterrupt, SystemExit)
-                                    ):
-                                        raise
-                                    target = None
-                                    cb.fail(err)
-                                else:
-                                    if (
-                                        _isinstance(target, t_event)
-                                        and not target._processed
-                                    ):
-                                        target.callbacks.append(cb)
-                                    else:
-                                        cb._wait_on(target)
-                        else:
-                            cb(event)
-                    else:
+                if fn is None:
+                    event._processed = True
+                    callbacks = event.callbacks
+                    if not callbacks:
+                        if type(event) is t_process and event._exc is not None:
+                            # A process died and nobody was waiting on it:
+                            # surface the error instead of silently
+                            # deadlocking dependents.
+                            raise event._exc
+                        continue
+                    proc = callbacks[0]
+                    if (
+                        type(proc) is not t_process
+                        or event._exc is not None
+                        or _len(callbacks) != 1
+                    ):
+                        # _processed is already set, so a callback
+                        # registered during delivery routes through
+                        # _call_soon_with — the list never grows under
+                        # this loop. These deliveries (a combinator's
+                        # child, a failure, several waiters) are rare and
+                        # their events mostly held elsewhere, so they
+                        # skip the recycle.
                         for cb in callbacks:
                             cb(event)
                         callbacks.clear()
-                    # Recycle the event if the kernel provably holds the
-                    # last reference (CPython only; see _POOL_REFS). All
-                    # field resets happen here, off the allocation path:
-                    # pooled objects come out of the pool ready to use.
-                    if getref is not None:
-                        kind = type(event)
-                        if kind is t_event:
-                            if (
-                                _len(event_pool) < pool_max
-                                and getref(event) == pool_refs
-                            ):
-                                event._value = None
-                                event._exc = None
-                                event._triggered = False
-                                event._processed = False
-                                event_pool.append(event)
-                        elif kind is t_timeout:
-                            if (
-                                _len(timeout_pool) < pool_max
-                                and getref(event) == pool_refs
-                            ):
-                                event._value = None
-                                event._processed = False
-                                timeout_pool.append(event)
-                        elif kind is t_process:
-                            if (
-                                _len(process_pool) < pool_max
-                                and getref(event) == pool_refs
-                            ):
-                                event._gen = None
-                                event._value = None
-                                event._exc = None
-                                event._triggered = False
-                                event._processed = False
-                                process_pool.append(event)
-                elif isinstance(event, Process) and event._exc is not None:
-                    # A process died and nobody was waiting on it: surface
-                    # the error instead of silently deadlocking dependents.
-                    raise event._exc
+                        continue
+                    # the one waiter is a process (the vast majority)
+                    callbacks.clear()
+                    value = event._value
+                elif fn is start_process:
+                    # a process start or a float wait: send None
+                    proc = event
+                    value = None
+                else:
+                    if event is None:
+                        fn()
+                    else:
+                        fn(event)
+                    continue
+                # Resume the process inline (Process._resume without its
+                # Python frame), with the same StopIteration and error
+                # handling.
+                try:
+                    target = proc._gen.send(value)
+                except StopIteration as stop:
+                    # drop the stale target binding from the previous
+                    # resume — it may be this very event, and a live local
+                    # would block the recycle check below
+                    target = None
+                    proc.succeed(stop.value)
+                except BaseException as err:
+                    if _isinstance(err, (KeyboardInterrupt, SystemExit)):
+                        raise
+                    target = None
+                    proc.fail(err)
+                else:
+                    if type(target) is _float:
+                        # a wait of ``target`` seconds: one entry that
+                        # resumes the process, in the lane and at the
+                        # place a Timeout made just before the yield
+                        # would have taken
+                        at = now + target
+                        if at > now:
+                            self._seq = seq = self._seq + 1
+                            heappush(queue, (at, seq, proc, start_process))
+                        elif at == now and target >= 0.0:
+                            fast_append((proc, start_process))
+                        else:  # negative or NaN: raise in the process
+                            proc._wait_on(target)
+                    elif _isinstance(target, t_event) and not target._processed:
+                        target.callbacks.append(proc)
+                    else:
+                        proc._wait_on(target)
+                if fn is not None:
+                    continue
+                # Recycle the event if the kernel provably holds the last
+                # reference (CPython only; see _POOL_REFS). All field
+                # resets happen here, off the allocation path: pooled
+                # objects come out of the pool ready to use.
+                if getref is not None:
+                    kind = type(event)
+                    if kind is t_event:
+                        if (
+                            _len(event_pool) < pool_max
+                            and getref(event) == pool_refs
+                        ):
+                            event._value = None
+                            event._exc = None
+                            event._triggered = False
+                            event._processed = False
+                            event_pool.append(event)
+                    elif kind is t_timeout:
+                        if (
+                            _len(timeout_pool) < pool_max
+                            and getref(event) == pool_refs
+                        ):
+                            event._value = None
+                            event._processed = False
+                            timeout_pool.append(event)
+                    elif kind is t_process:
+                        if (
+                            _len(process_pool) < pool_max
+                            and getref(event) == pool_refs
+                        ):
+                            event._gen = None
+                            event._value = None
+                            event._exc = None
+                            event._triggered = False
+                            event._processed = False
+                            process_pool.append(event)
         finally:
             self._seq += ops
         return delivered

@@ -11,7 +11,7 @@ Three resource families model everything in the SSD:
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Optional
+from typing import Any, Optional, Union
 
 from .kernel import Event, Simulator
 from .stats import BusyTracker
@@ -24,7 +24,7 @@ class Resource:
 
     Usage inside a process::
 
-        grant = yield resource.acquire()
+        yield resource.acquire()
         ...critical section...
         resource.release()
     """
@@ -49,16 +49,23 @@ class Resource:
     def queue_length(self) -> int:
         return len(self._waiting)
 
-    def acquire(self) -> Event:
-        """Event that fires once a slot is granted to the caller."""
-        sim = self.sim
-        ev = sim.event()
+    def acquire(self) -> Union[float, Event]:
+        """Take a slot; the caller must yield the returned value at once.
+
+        A free slot is taken now and the return is ``0.0``, a zero wait:
+        the process resumes (with ``None``) in the fast-lane place that a
+        triggered grant event yielded here would have taken. Otherwise
+        the return is an :class:`Event` that :meth:`release` triggers,
+        with this resource as its value, when the slot passes to the
+        caller. Either may come back, so the return cannot go into
+        ``AllOf``/``AnyOf``.
+        """
         if self._in_use < self.capacity:
             self._in_use += 1
-            self.tracker.set_busy(sim.now)  # _note_usage with a slot in use
-            ev.succeed(self)
-        else:
-            self._waiting.append(ev)
+            self.tracker.set_busy(self.sim.now)  # _note_usage with a slot in use
+            return 0.0
+        ev = self.sim.event()
+        self._waiting.append(ev)
         return ev
 
     def release(self) -> None:
@@ -83,8 +90,8 @@ class BandwidthPipe:
     """A serialized transfer medium with fixed bandwidth.
 
     Transfers are granted in FIFO order. Each transfer occupies the pipe for
-    ``per_transfer_overhead + nbytes / bytes_per_sec`` seconds. The returned
-    event fires at transfer completion with the completion time as its value.
+    ``per_transfer_overhead + nbytes / bytes_per_sec`` seconds, and
+    :meth:`transfer` returns the delay until it completes.
 
     This analytic serialization is exact for FIFO store-and-forward buses,
     which is how flash channels, the SSD DRAM port, and PCIe behave in the
@@ -127,8 +134,15 @@ class BandwidthPipe:
     def transfer_time(self, nbytes: int) -> float:
         return self.per_transfer_overhead + nbytes / self.bytes_per_sec
 
-    def transfer(self, nbytes: int) -> Event:
-        """Queue a transfer of ``nbytes``; event fires when it completes."""
+    def transfer(self, nbytes: int) -> float:
+        """Queue a transfer of ``nbytes``; returns the seconds until it ends.
+
+        The pipe is booked now, so the caller must yield the returned
+        delay at once (``yield pipe.transfer(n)``): the wait then takes
+        the heap sequence number a timeout made here would have taken.
+        A wait handed to another process is wrapped in ``sim.timeout``
+        in the same statement.
+        """
         if nbytes < 0:
             raise ValueError("nbytes must be >= 0")
         # busy_until, transfer_time and tracker.add_interval, inlined
@@ -144,7 +158,7 @@ class BandwidthPipe:
         self.bytes_moved += nbytes
         self.transfer_count += 1
         self.tracker.intervals.append((start, end))
-        return sim.timeout(end - now, value=end)
+        return end - now
 
 
 class Store:

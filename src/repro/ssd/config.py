@@ -14,7 +14,7 @@ DRAM right at 16 channels, as the paper reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Tuple
 
 __all__ = [
@@ -30,6 +30,20 @@ __all__ = [
     "ull_ssd",
     "traditional_ssd",
 ]
+
+
+def _store_floats(config) -> None:
+    """Hold every ``float`` field of a frozen config as a ``float``.
+
+    Processes wait out these times by yielding them, and the kernel takes
+    a delay only as a float (an ``int`` yield fails the process), so a
+    config built with, say, ``parse_s=0`` is stored as ``0.0``.
+    """
+    for f in fields(config):
+        if f.type == "float":
+            value = getattr(config, f.name)
+            if type(value) is not float:
+                object.__setattr__(config, f.name, float(value))
 
 
 @dataclass(frozen=True)
@@ -51,6 +65,7 @@ class FlashConfig:
     # (the sampler and output path stay shared, as in Figure 10)
 
     def __post_init__(self) -> None:
+        _store_floats(self)
         if self.num_channels < 1 or self.dies_per_channel < 1:
             raise ValueError("need at least one channel and one die")
         if self.page_size < 512:
@@ -92,6 +107,7 @@ class FirmwareConfig:
     sample_per_neighbor_s: float = 60e-9  # firmware software sampling
 
     def __post_init__(self) -> None:
+        _store_floats(self)
         if self.num_cores < 1:
             raise ValueError("need at least one firmware core")
 
@@ -110,6 +126,8 @@ class DieSamplerConfig:
     section_scan_s: float = 10e-9  # section iterator, per section stepped
     per_neighbor_s: float = 25e-9  # modulo sample + command generation
 
+    __post_init__ = _store_floats
+
 
 @dataclass(frozen=True)
 class HwRouterConfig:
@@ -117,6 +135,8 @@ class HwRouterConfig:
 
     parse_s: float = 0.10e-6  # data-stream parser per completed command
     crossbar_s: float = 0.05e-6  # crossbar forwarding per command
+
+    __post_init__ = _store_floats
 
 
 @dataclass(frozen=True)
@@ -126,6 +146,8 @@ class DramConfig:
     bandwidth_bps: float = 12.8e9
     access_overhead_s: float = 30e-9
 
+    __post_init__ = _store_floats
+
 
 @dataclass(frozen=True)
 class PcieConfig:
@@ -133,6 +155,8 @@ class PcieConfig:
 
     bandwidth_bps: float = 7.9e9
     transaction_overhead_s: float = 0.4e-6
+
+    __post_init__ = _store_floats
 
 
 @dataclass(frozen=True)
@@ -143,6 +167,8 @@ class HostConfig:
     nvme_stack_s: float = 3.0e-6  # block layer + driver per request
     translate_per_node_s: float = 0.1e-6  # node index -> LPA metadata lookup
     sample_per_neighbor_s: float = 0.1e-6  # host CPU sampling
+
+    __post_init__ = _store_floats
 
 
 @dataclass(frozen=True)
@@ -163,6 +189,7 @@ class GpuDirectConfig:
     kernel_launch_s: float = 5e-6  # host launches the sampling kernel
 
     def __post_init__(self) -> None:
+        _store_floats(self)
         if self.warp_size < 1:
             raise ValueError("warp_size must be >= 1")
         if self.doorbell_s < 0 or self.sample_per_neighbor_s < 0:

@@ -46,7 +46,7 @@ class SsdDevice:
         """Occupy one firmware core for ``seconds``."""
         yield self.cores.acquire()
         try:
-            yield self.sim.timeout(seconds)
+            yield seconds
         finally:
             self.cores.release()
 
@@ -54,7 +54,7 @@ class SsdDevice:
         """Occupy one host CPU thread for ``seconds``."""
         yield self.host_threads.acquire()
         try:
-            yield self.sim.timeout(seconds)
+            yield seconds
         finally:
             self.host_threads.release()
 

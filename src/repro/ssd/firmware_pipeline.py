@@ -107,10 +107,10 @@ class HardwarePipeline:
         self.sim.process(self._serve(request))
 
     def _serve(self, request: PipelineRequest):
-        yield self.sim.timeout(self.router.crossbar_s)
+        yield self.router.crossbar_s
         job = FlashJob(page_index=request.page_index, record=request.record)
         yield self.device.flash.submit(job)
-        yield self.sim.timeout(self.router.parse_s)
+        yield self.router.parse_s
         request.completed_at = self.sim.now
         request.record.completed = self.sim.now
         self.completed.append(request)

@@ -110,7 +110,7 @@ class FlashDieModel:
         sim = self.sim
         yield self._sense.acquire()
         job.record.flash_start = sim.now
-        yield sim.timeout(self.config.read_latency_s)
+        yield self.config.read_latency_s
         if self.config.pipelined_registers or self.config.exploit_planes:
             # the plane frees for the next sense; sampler/output shared
             self._sense.release()
@@ -122,20 +122,23 @@ class FlashDieModel:
         execution = self.executor(job)
         job.execution = execution
         if execution.extra_time_s > 0:
-            yield sim.timeout(execution.extra_time_s)
+            yield execution.extra_time_s
         job.record.flash_end = sim.now
         self.jobs_served += 1
         if self.config.pipelined_registers:
             # data register holds the result until the bus takes it; the
             # engine may already serve the next job
             yield self._register.acquire()
-            transfer = self.channel_pipe.transfer(execution.payload_bytes)
+            # the transfer is booked (and its wait sequenced) here, before
+            # the engine release; another process waits it out
+            transfer = sim.timeout(
+                self.channel_pipe.transfer(execution.payload_bytes)
+            )
             if release_engine:
                 self._engine.release()
             self.sim.process(self._finish_pipelined(job, transfer))
         else:
-            transfer = self.channel_pipe.transfer(execution.payload_bytes)
-            yield transfer
+            yield self.channel_pipe.transfer(execution.payload_bytes)
             job.record.transfer_end = sim.now
             if release_engine:
                 self._engine.release()

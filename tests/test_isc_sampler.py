@@ -219,6 +219,36 @@ class TestSamplerFaults:
         with pytest.raises(SamplerFault):
             sampler.execute(image.page_bytes(sec_addr.page), cmd)
 
+    @staticmethod
+    def _run_secondary(hop, draws):
+        g = overflow_graph()
+        image, _ = build_image(g)
+        config = GnnTaskConfig(num_hops=2, fanout=2, feature_dim=8, seed=0)
+        sampler = DieSampler(image.spec, config)
+        sec_addr = image.node_plans[0].secondary_addrs[0]
+        cmd = SamplingCommand(
+            kind=CommandKind.SAMPLE_SECONDARY,
+            address=sec_addr,
+            target=0,
+            hop=hop,
+            position=0,
+            draws=draws,
+        )
+        return sampler.execute(image.page_bytes(sec_addr.page), cmd)
+
+    def test_secondary_well_formed_command_runs(self):
+        result = self._run_secondary(hop=0, draws=((1, 0),))
+        assert len(result.children) == 1
+
+    def test_secondary_sample_index_past_fanout_faults(self):
+        # a draw list survives encode/decode with any u16 sample index
+        with pytest.raises(SamplerFault, match="sample index 7 out of fanout 2"):
+            self._run_secondary(hop=0, draws=((7, 0),))
+
+    def test_secondary_hop_past_task_faults(self):
+        with pytest.raises(SamplerFault, match="hop 2"):
+            self._run_secondary(hop=2, draws=((0, 0),))
+
     def test_config_spec_mismatch_rejected(self):
         g = power_law_graph(20, 4.0, seed=0)
         image, _ = build_image(g, dim=8)

@@ -603,6 +603,29 @@ class TestImageSharing:
         assert resimulated.images_built == 0
         assert resimulated.image_hits >= 1
 
+    def test_adopted_image_is_backfilled_once_per_grid(self, tmp_path, monkeypatch):
+        """The disk back-fill of a memoized image runs in the pre-warm,
+        once per distinct workload, not again in every cell's start."""
+        from repro.directgraph import ImageCache
+        from repro.orchestrate import adopt_prepared
+
+        spec = workload_by_name("ogbn").scaled(TINY["scaled_nodes"])
+        adopt_prepared(
+            PreparedWorkload.prepare(spec, page_size=ull_ssd().flash.page_size)
+        )
+        calls = []
+        key_for = ImageCache.key_for
+        monkeypatch.setattr(
+            ImageCache,
+            "key_for",
+            lambda self, *a, **k: calls.append(1) or key_for(self, *a, **k),
+        )
+        cache = ResultCache(tmp_path)
+        outcome = run_grid(tiny_cells(platforms=("bg2", "cc")), jobs=1, cache=cache)
+        assert outcome.executed == 2 and outcome.images_built == 0
+        assert len(calls) == 1
+        assert len(list((tmp_path / "images").glob("*.npz"))) == 1
+
     def test_warm_result_cache_touches_no_images(self, tmp_path):
         cache = ResultCache(tmp_path)
         cells = tiny_cells()

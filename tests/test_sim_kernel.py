@@ -1,8 +1,20 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.sim import AllOf, AnyOf, Event, SimulationError, Simulator
+from repro.perf import KernelProbe
+from repro.sim import (
+    AllOf,
+    AnyOf,
+    BandwidthPipe,
+    Event,
+    Resource,
+    SimulationError,
+    Simulator,
+)
 
 
 def test_timeout_fires_at_delay():
@@ -250,3 +262,145 @@ def test_many_interleaved_processes_keep_time_monotone():
     sim.run()
     assert stamps == sorted(stamps)
     assert len(stamps) == 30
+
+
+# -- float waits: a process yields the seconds ------------------------------
+
+DELAYS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-30, 0.25, 0.5, 1.0]),
+    st.floats(min_value=0.0, max_value=2.0),
+)
+OPS = st.one_of(
+    st.tuples(st.just("wait"), DELAYS),
+    st.tuples(st.just("pipe"), st.integers(0, 1), st.integers(0, 5000)),
+    st.tuples(st.just("hold"), st.integers(0, 1), DELAYS),
+    st.tuples(st.just("signal"), st.integers(0, 2)),
+    st.tuples(st.just("await"), st.integers(0, 2)),
+)
+
+
+def _run_program(program, capacities, float_waits):
+    """Run ``program`` (one op list per process); log every op's end.
+
+    With ``float_waits`` every fixed wait is yielded as its seconds;
+    otherwise as ``sim.timeout`` of them, the form float waits replace.
+    """
+    sim = Simulator()
+    resources = [Resource(sim, capacity=c) for c in capacities]
+    pipes = [
+        BandwidthPipe(sim, 1e4, per_transfer_overhead=0.125),
+        BandwidthPipe(sim, 2e3),
+    ]
+    events = [sim.event() for _ in range(3)]
+    log = []
+
+    def wait(delay):
+        return delay if float_waits else sim.timeout(delay)
+
+    def body(tag, ops):
+        for step, op in enumerate(ops):
+            kind = op[0]
+            if kind == "wait":
+                yield wait(op[1])
+            elif kind == "pipe":
+                yield wait(pipes[op[1]].transfer(op[2]))
+            elif kind == "hold":
+                grant = resources[op[1]].acquire()
+                yield grant if isinstance(grant, Event) else wait(grant)
+                yield wait(op[2])
+                resources[op[1]].release()
+            elif kind == "signal":
+                if not events[op[1]].triggered:
+                    events[op[1]].succeed()
+            else:
+                yield events[op[1]]
+            log.append((sim.now, tag, step))
+
+    for tag, ops in enumerate(program):
+        sim.process(body(tag, ops))
+    sim.run()
+    return log, sim._seq
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    program=st.lists(st.lists(OPS, max_size=8), min_size=1, max_size=4),
+    capacities=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+)
+def test_float_wait_delivers_exactly_as_a_timeout(program, capacities):
+    """Same instants, same order of every resume, same entry count."""
+    assert _run_program(program, capacities, True) == _run_program(
+        program, capacities, False
+    )
+
+
+@pytest.mark.parametrize("bad", [-1.0, -1e-300, float("nan")])
+def test_negative_or_nan_wait_raises_in_the_process(bad):
+    sim = Simulator()
+    log = []
+
+    def proc(sim):
+        try:
+            yield bad
+        except ValueError:
+            log.append(("caught", sim.now))
+        yield 1.0
+        log.append(("resumed", sim.now))
+
+    sim.process(proc(sim))
+    sim.run()
+    assert log == [("caught", 0.0), ("resumed", 1.0)]
+
+    def unguarded(sim):
+        yield bad
+
+    sim.process(unguarded(sim))
+    # nobody waits on the process, so run() surfaces its failure
+    with pytest.raises(ValueError, match="negative or NaN"):
+        sim.run()
+
+
+def test_negative_zero_and_numpy_delays_are_waits():
+    sim = Simulator()
+    log = []
+
+    def proc(sim):
+        yield -0.0
+        log.append(sim.now)
+        yield np.float64(0.5)
+        log.append(sim.now)
+
+    sim.process(proc(sim))
+    sim.run()
+    assert log == [0.0, 0.5]
+    assert type(sim.now) is float
+
+
+def test_float_wait_resumes_with_none_and_makes_no_timeout():
+    sim = Simulator()
+    seen = []
+
+    def proc(sim):
+        seen.append((yield 0.25))
+        seen.append((yield 0.0))
+
+    with KernelProbe(sim) as probe:
+        sim.process(proc(sim))
+        sim.run()
+    assert seen == [None, None]
+    assert probe.counters.timeouts == 0
+    # the start, the timed wait, the zero wait and the process's end
+    assert probe.counters.ops == 4
+
+
+def test_acquire_returns_a_zero_wait_when_free_and_an_event_when_full():
+    sim = Simulator()
+    res = Resource(sim, capacity=1)
+    first = res.acquire()
+    assert type(first) is float and first == 0.0
+    assert res.in_use == 1
+    second = res.acquire()
+    assert isinstance(second, Event) and not second.triggered
+    res.release()
+    assert second.triggered and second.value is res
+    assert res.in_use == 1

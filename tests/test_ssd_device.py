@@ -55,6 +55,28 @@ class TestConfigPresets:
         with pytest.raises(ValueError):
             FirmwareConfig(num_cores=0)
 
+    def test_int_times_are_stored_as_floats(self):
+        """Processes yield these times as waits, and a wait is a float."""
+        from repro.ssd import HwRouterConfig
+        from repro.ssd.firmware_pipeline import drive_backend
+
+        router = HwRouterConfig(parse_s=0, crossbar_s=1)
+        assert type(router.parse_s) is float and router.crossbar_s == 1.0
+        assert type(FirmwareConfig(num_cores=2).num_cores) is int
+        costs = ("io_poller_s", "ftl_lookup_s", "schedule_s", "completion_s")
+        for hardware in (False, True):
+            runs = [
+                drive_backend(
+                    40,
+                    flash=FlashConfig(read_latency_s=zero + 3),
+                    firmware=FirmwareConfig(**{c: zero for c in costs}),
+                    router=HwRouterConfig(parse_s=zero, crossbar_s=zero),
+                    use_hardware=hardware,
+                )
+                for zero in (0, 0.0)
+            ]
+            assert runs[0] == runs[1]
+
 
 class TestSsdDevice:
     def test_firmware_work_occupies_one_core(self):
